@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/embedder.h"
 #include "index/ivf_index.h"
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
@@ -78,6 +77,13 @@ Tensor RowOf(const Tensor& m, int64_t i) {
   std::copy(m.data() + i * m.cols(), m.data() + (i + 1) * m.cols(),
             row.data());
   return row;
+}
+
+std::vector<int64_t> IdsOf(const std::vector<serve::ScoredHit>& hits) {
+  std::vector<int64_t> ids;
+  ids.reserve(hits.size());
+  for (const serve::ScoredHit& hit : hits) ids.push_back(hit.index);
+  return ids;
 }
 
 double RecallAgainst(const std::vector<std::vector<int64_t>>& truth,
@@ -125,8 +131,15 @@ int Run() {
               static_cast<long long>(queries.rows()),
               static_cast<long long>(kTopK));
 
-  // Scalar reference paths (per-query loops, no kernel-pool batching).
-  core::RetrievalIndex scalar_exact(items);
+  // Scalar reference paths (per-query loops, no kernel-pool batching): the
+  // registry's "scalar" oracle and the IVF index's per-query path.
+  serve::BackendConfig scalar_config;
+  scalar_config.items = items;
+  auto scalar_exact = serve::CreateBackend("scalar", scalar_config);
+  if (!scalar_exact.ok()) {
+    std::fprintf(stderr, "%s\n", scalar_exact.status().ToString().c_str());
+    return 1;
+  }
   index::IvfConfig ivf_config;
   ivf_config.num_lists = kNumLists;
   ivf_config.num_probes = 4;
@@ -142,7 +155,11 @@ int Run() {
   for (int r = 0; r < kRepeats; ++r) {
     truth_exact.clear();
     for (int64_t i = 0; i < queries.rows(); ++i) {
-      truth_exact.push_back(scalar_exact.Query(RowOf(queries, i), kTopK));
+      auto hits = (*scalar_exact)->ScoreTopK(
+          serve::QueryBatch{SliceRows(queries, i, i + 1)}, nullptr, kTopK,
+          serve::QueryOptions());
+      if (!hits.ok()) return 1;
+      truth_exact.push_back(IdsOf(hits->hits[0]));
     }
   }
   const double scalar_exact_ms =
@@ -151,7 +168,8 @@ int Run() {
   for (int r = 0; r < kRepeats; ++r) {
     truth_ivf.clear();
     for (int64_t i = 0; i < queries.rows(); ++i) {
-      truth_ivf.push_back(scalar_ivf->Query(RowOf(queries, i), kTopK));
+      truth_ivf.push_back(
+          IdsOf(scalar_ivf->SearchOne(RowOf(queries, i), kTopK, 4)));
     }
   }
   const double scalar_ivf_ms =
@@ -923,10 +941,7 @@ int RunQuant() {
   std::vector<std::vector<serve::ScoredHit>> exact_hits;
   const double exhaustive_ms = sweep(**exhaustive, &exact_hits);
   std::vector<std::vector<int64_t>> exact_ids;
-  for (const auto& row : exact_hits) {
-    exact_ids.push_back({});
-    for (const auto& hit : row) exact_ids.back().push_back(hit.index);
-  }
+  for (const auto& row : exact_hits) exact_ids.push_back(IdsOf(row));
 
   const auto qps = [](double ms) { return ms > 0.0 ? 1000.0 / ms : 0.0; };
   TablePrinter table({"backend", "rerank", "QPS", "ms/query", "recall@10",
@@ -964,10 +979,7 @@ int RunQuant() {
     const double ms = sweep(**quantized, &hits);
     if (hits != exact_hits) bit_identical = false;
     std::vector<std::vector<int64_t>> ids;
-    for (const auto& row : hits) {
-      ids.push_back({});
-      for (const auto& hit : row) ids.back().push_back(hit.index);
-    }
+    for (const auto& row : hits) ids.push_back(IdsOf(row));
     const double recall = RecallAgainst(exact_ids, ids);
     best_quant_qps = std::max(best_quant_qps, qps(ms));
     table.AddRow({"quantized (int8)", std::to_string(rerank),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/downstream.h"
+#include "serve/retrieval_service.h"
 #include "tensor/ops.h"
 #include "core/pipeline.h"
 
@@ -20,6 +21,7 @@ namespace {
 using adamine::Tensor;
 namespace core = adamine::core;
 namespace data = adamine::data;
+namespace serve = adamine::serve;
 
 core::PipelineConfig Config() {
   core::PipelineConfig config;
@@ -68,7 +70,14 @@ int main() {
   std::printf("candidate pool: %zu pizza images in the test set\n",
               pizza_rows.size());
   Tensor pizza_emb = adamine::GatherRows(emb.image_emb, pizza_rows);
-  core::RetrievalIndex index(pizza_emb);
+  // The exact scalar oracle; ids only, so through the service.
+  serve::ServeConfig scalar;
+  scalar.backend = serve::Backend::kScalar;
+  auto index = serve::RetrievalService::Create(pizza_emb, scalar);
+  if (!index.ok()) {
+    std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
+    return 1;
+  }
 
   Tensor mean_instr =
       core::MeanInstructionFeature(*run->model, pipe.train_set());
@@ -79,7 +88,7 @@ int main() {
        {"mushrooms", "pineapple", "olives", "pepperoni", "strawberries"}) {
     Tensor query = core::EmbedIngredientQuery(*run->model, pipe.vocab(),
                                               ingredient, mean_instr);
-    auto top = index.Query(query, top_k);
+    auto top = (*index)->Query(query, top_k);
     const int64_t gid = inventory.IngredientId(ingredient);
     int64_t hits = 0;
     int64_t base = 0;

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # One-command verification: plain tier-1 build + full test suite + the
-# registry-driven golden-diff harness, then the same golden harness (plus the
-# focused concurrency suites) under ThreadSanitizer. This is the flow CI runs;
-# a clean exit here means the tree is shippable.
+# registry-driven golden-diff harness, then the full suite under
+# AddressSanitizer and UndefinedBehaviorSanitizer, then the same golden
+# harness (plus the focused concurrency suites) under ThreadSanitizer. This
+# is the flow CI runs; a clean exit here means the tree is shippable.
 #
-#   scripts/check.sh          # everything (plain + tsan)
-#   scripts/check.sh --fast   # plain build + tests only, skip the tsan pass
+#   scripts/check.sh          # everything (plain + asan + ubsan + tsan)
+#   scripts/check.sh --fast   # plain build + tests only, skip the sanitizers
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,7 +18,7 @@ fi
 
 echo "== tier-1: configure + build =="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 
 echo "== tier-1: full test suite =="
 ctest --test-dir build --output-on-failure -j "$(nproc)"
@@ -50,13 +51,25 @@ for threads in 1 4; do
 done
 
 if [[ "$FAST" == "1" ]]; then
-  echo "check.sh: OK (fast mode, tsan pass skipped)"
+  echo "check.sh: OK (fast mode, sanitizer passes skipped)"
   exit 0
 fi
 
+# Memory errors and undefined behaviour anywhere in the tree: the whole
+# suite, decoders' hostile-input sweeps included, under each sanitizer.
+for pass in asan:address ubsan:undefined; do
+  dir="build-${pass%%:*}"
+  sanitizer="${pass#*:}"
+  echo "== ${pass%%:*}: configure + build (ADAMINE_SANITIZE=$sanitizer) =="
+  cmake -B "$dir" -S . -DADAMINE_SANITIZE="$sanitizer"
+  cmake --build "$dir" -j "$(nproc)"
+  echo "== ${pass%%:*}: full test suite =="
+  ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
+done
+
 echo "== tsan: configure + build (ADAMINE_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DADAMINE_SANITIZE=thread
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$(nproc)"
 
 echo "== tsan: golden-diff harness =="
 ctest --test-dir build-tsan -L golden --output-on-failure

@@ -1,9 +1,7 @@
 #include "core/embedder.h"
 
 #include <algorithm>
-#include <numeric>
 
-#include "tensor/ops.h"
 #include "util/check.h"
 
 namespace adamine::core {
@@ -77,39 +75,6 @@ EmbeddedDataset EmbedDataset(CrossModalModel& model,
               out.recipe_emb.data() + start * latent);
   }
   return out;
-}
-
-RetrievalIndex::RetrievalIndex(Tensor items) : items_(std::move(items)) {
-  ADAMINE_CHECK_EQ(items_.ndim(), 2);
-}
-
-std::vector<int64_t> RetrievalIndex::Query(const Tensor& query,
-                                           int64_t k) const {
-  ADAMINE_CHECK_EQ(query.numel(), items_.cols());
-  const int64_t n = items_.rows();
-  const int64_t d = items_.cols();
-  std::vector<float> sims(static_cast<size_t>(n));
-  // Single float accumulation chain in ascending j — the per-element order
-  // of kernel::Gemm — so this scalar reference path stays bit-identical to
-  // the serving layer's batched GEMM scoring (this file is compiled with
-  // -ffp-contract=off; see src/CMakeLists.txt).
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = items_.data() + i * d;
-    float acc = 0.0f;
-    for (int64_t j = 0; j < d; ++j) acc += row[j] * query[j];
-    sims[static_cast<size_t>(i)] = acc;
-  }
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  const int64_t take = std::min(k, n);
-  std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                    [&](int64_t a, int64_t b) {
-                      const float sa = sims[static_cast<size_t>(a)];
-                      const float sb = sims[static_cast<size_t>(b)];
-                      return sa > sb || (sa == sb && a < b);
-                    });
-  order.resize(static_cast<size_t>(take));
-  return order;
 }
 
 }  // namespace adamine::core

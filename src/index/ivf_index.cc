@@ -1,7 +1,6 @@
 #include "index/ivf_index.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <utility>
 
@@ -12,27 +11,6 @@
 #include "util/check.h"
 
 namespace adamine::index {
-
-namespace {
-
-/// Inner product as a single float accumulation chain in ascending j —
-/// exactly the per-element order of kernel::Gemm — so the scalar search
-/// path and the batched GEMM path produce bit-identical similarities.
-/// (This file is compiled with -ffp-contract=off, like the kernels, so the
-/// compiler cannot fuse the chain into FMAs; see src/CMakeLists.txt.)
-float DotAscending(const float* a, const float* b, int64_t d) {
-  float acc = 0.0f;
-  for (int64_t j = 0; j < d; ++j) acc += a[j] * b[j];
-  return acc;
-}
-
-/// Shared (similarity desc, index asc) candidate order.
-bool CandidateBefore(const std::pair<float, int64_t>& a,
-                     const std::pair<float, int64_t>& b) {
-  return a.first > b.first || (a.first == b.first && a.second < b.second);
-}
-
-}  // namespace
 
 Status IvfConfig::Validate() const {
   if (num_lists <= 0) {
@@ -63,7 +41,6 @@ StatusOr<IvfIndex> IvfIndex::Build(Tensor items, const IvfConfig& config) {
   if (!kmeans.ok()) return kmeans.status();
 
   IvfIndex index;
-  index.config_ = config;
   index.items_ = std::move(items);
   index.centroids_ = std::move(kmeans->centroids);
   index.lists_.resize(static_cast<size_t>(config.num_lists));
@@ -74,16 +51,9 @@ StatusOr<IvfIndex> IvfIndex::Build(Tensor items, const IvfConfig& config) {
   return index;
 }
 
-Status IvfIndex::SetNumProbes(int64_t num_probes) {
-  if (num_probes <= 0 || num_probes > num_lists()) {
-    return Status::InvalidArgument("need 0 < num_probes <= num_lists");
-  }
-  config_.num_probes = num_probes;
-  return Status::Ok();
-}
-
-std::vector<int64_t> IvfIndex::Search(const Tensor& query, int64_t k,
-                                      int64_t probes) const {
+std::vector<kernel::ScoredHit> IvfIndex::SearchOne(const Tensor& query,
+                                                   int64_t k,
+                                                   int64_t probes) const {
   const int64_t d = items_.cols();
   ADAMINE_CHECK_EQ(query.numel(), d);
   // Same rules as IvfConfig::Validate: a non-positive k or probe count is a
@@ -93,52 +63,30 @@ std::vector<int64_t> IvfIndex::Search(const Tensor& query, int64_t k,
 
   // Rank centroids by inner product with the query.
   const int64_t lists = centroids_.rows();
-  std::vector<std::pair<float, int64_t>> centroid_sims;
-  centroid_sims.reserve(static_cast<size_t>(lists));
+  std::vector<float> centroid_sims(static_cast<size_t>(lists));
   for (int64_t c = 0; c < lists; ++c) {
-    centroid_sims.emplace_back(
-        DotAscending(centroids_.data() + c * d, query.data(), d), c);
+    centroid_sims[static_cast<size_t>(c)] =
+        kernel::DotAscending(centroids_.data() + c * d, query.data(), d);
   }
-  const int64_t probe = std::min(probes, lists);
-  std::partial_sort(centroid_sims.begin(), centroid_sims.begin() + probe,
-                    centroid_sims.end(), CandidateBefore);
+  std::vector<int64_t> order;
+  std::vector<kernel::ScoredHit> probed;
+  kernel::TopKOfRow(centroid_sims.data(), lists, probes, &order, &probed);
 
   // Scan the probed lists.
-  std::vector<std::pair<float, int64_t>> candidates;
-  for (int64_t p = 0; p < probe; ++p) {
-    for (int64_t item :
-         lists_[static_cast<size_t>(centroid_sims[static_cast<size_t>(p)]
-                                        .second)]) {
-      candidates.emplace_back(
-          DotAscending(items_.data() + item * d, query.data(), d), item);
+  std::vector<kernel::ScoredHit> candidates;
+  for (const kernel::ScoredHit& list : probed) {
+    for (int64_t item : lists_[static_cast<size_t>(list.index)]) {
+      candidates.push_back(kernel::ScoredHit{
+          item,
+          kernel::DotAscending(items_.data() + item * d, query.data(), d)});
     }
   }
-  const int64_t take =
-      std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
-  std::partial_sort(candidates.begin(), candidates.begin() + take,
-                    candidates.end(), CandidateBefore);
-  std::vector<int64_t> result;
-  result.reserve(static_cast<size_t>(take));
-  for (int64_t i = 0; i < take; ++i) {
-    result.push_back(candidates[static_cast<size_t>(i)].second);
-  }
-  return result;
+  kernel::KeepTopK(&candidates, k);
+  return candidates;
 }
 
-std::vector<std::vector<int64_t>> IvfIndex::SearchBatch(
+std::vector<std::vector<kernel::ScoredHit>> IvfIndex::Search(
     const Tensor& queries, int64_t k, int64_t probes) const {
-  const auto scored = SearchBatchScored(queries, k, probes);
-  std::vector<std::vector<int64_t>> results(scored.size());
-  for (size_t i = 0; i < scored.size(); ++i) {
-    results[i].reserve(scored[i].size());
-    for (const auto& [sim, item] : scored[i]) results[i].push_back(item);
-  }
-  return results;
-}
-
-std::vector<std::vector<std::pair<float, int64_t>>>
-IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
-                            int64_t probes) const {
   const int64_t d = items_.cols();
   ADAMINE_CHECK_EQ(queries.ndim(), 2);
   ADAMINE_CHECK_EQ(queries.cols(), d);
@@ -156,17 +104,14 @@ IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
   // Stage 2: per-query probe selection (disjoint writes per query).
   std::vector<int64_t> probed(static_cast<size_t>(bsz * probe));
   kernel::ParallelFor(bsz, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-    std::vector<std::pair<float, int64_t>> order(static_cast<size_t>(lists));
+    std::vector<int64_t> order;
+    std::vector<kernel::ScoredHit> best;
     for (int64_t i = i0; i < i1; ++i) {
-      const float* row = centroid_sims.data() + i * lists;
-      for (int64_t c = 0; c < lists; ++c) {
-        order[static_cast<size_t>(c)] = {row[c], c};
-      }
-      std::partial_sort(order.begin(), order.begin() + probe, order.end(),
-                        CandidateBefore);
+      kernel::TopKOfRow(centroid_sims.data() + i * lists, lists, probe,
+                        &order, &best);
       for (int64_t p = 0; p < probe; ++p) {
         probed[static_cast<size_t>(i * probe + p)] =
-            order[static_cast<size_t>(p)].second;
+            best[static_cast<size_t>(p)].index;
       }
     }
   });
@@ -186,7 +131,7 @@ IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
       union_items.push_back(item);
     }
   }
-  std::vector<std::vector<std::pair<float, int64_t>>> results(
+  std::vector<std::vector<kernel::ScoredHit>> results(
       static_cast<size_t>(bsz));
   if (union_items.empty()) return results;  // Every probed list was empty.
   Tensor gathered = GatherRows(items_, union_items);
@@ -199,65 +144,26 @@ IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
 
   // Stage 5: each query ranks only its own probed candidates.
   kernel::ParallelFor(bsz, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-    std::vector<std::pair<float, int64_t>> candidates;
+    std::vector<kernel::ScoredHit> candidates;
     for (int64_t i = i0; i < i1; ++i) {
       const float* row = cand_sims.data() + i * u;
       candidates.clear();
       for (int64_t p = 0; p < probe; ++p) {
         const int64_t list = probed[static_cast<size_t>(i * probe + p)];
         for (int64_t item : lists_[static_cast<size_t>(list)]) {
-          candidates.emplace_back(row[col_of[static_cast<size_t>(item)]],
-                                  item);
+          candidates.push_back(
+              kernel::ScoredHit{item, row[col_of[static_cast<size_t>(item)]]});
         }
       }
-      const int64_t take =
-          std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
-      std::partial_sort(candidates.begin(), candidates.begin() + take,
-                        candidates.end(), CandidateBefore);
-      auto& out = results[static_cast<size_t>(i)];
-      out.assign(candidates.begin(), candidates.begin() + take);
+      kernel::KeepTopK(&candidates, k);
+      results[static_cast<size_t>(i)] = candidates;
     }
   });
   return results;
 }
 
-std::vector<int64_t> IvfIndex::Query(const Tensor& query, int64_t k) const {
-  return Search(query, k, config_.num_probes);
-}
-
-std::vector<int64_t> IvfIndex::QueryExact(const Tensor& query,
-                                          int64_t k) const {
-  return Search(query, k, centroids_.rows());
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::QueryBatch(const Tensor& queries,
-                                                       int64_t k) const {
-  return SearchBatch(queries, k, config_.num_probes);
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::QueryBatchExact(
-    const Tensor& queries, int64_t k) const {
-  return SearchBatch(queries, k, centroids_.rows());
-}
-
-std::vector<int64_t> IvfIndex::QueryWithProbes(const Tensor& query,
-                                               int64_t k,
-                                               int64_t probes) const {
-  return Search(query, k, probes);
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::QueryBatchWithProbes(
-    const Tensor& queries, int64_t k, int64_t probes) const {
-  return SearchBatch(queries, k, probes);
-}
-
-std::vector<std::vector<std::pair<float, int64_t>>>
-IvfIndex::QueryBatchScoredWithProbes(const Tensor& queries, int64_t k,
-                                     int64_t probes) const {
-  return SearchBatchScored(queries, k, probes);
-}
-
-double IvfIndex::RecallAtK(const Tensor& queries, int64_t k) const {
+double IvfIndex::RecallAtK(const Tensor& queries, int64_t k,
+                           int64_t probes) const {
   ADAMINE_CHECK_EQ(queries.ndim(), 2);
   const int64_t n = queries.rows();
   const int64_t d = queries.cols();
@@ -266,16 +172,17 @@ double IvfIndex::RecallAtK(const Tensor& queries, int64_t k) const {
   for (int64_t i = 0; i < n; ++i) {
     Tensor q({d});
     std::copy(queries.data() + i * d, queries.data() + (i + 1) * d, q.data());
-    auto exact = QueryExact(q, k);
-    std::set<int64_t> truth(exact.begin(), exact.end());
+    std::set<int64_t> truth;
+    for (const kernel::ScoredHit& hit : SearchOne(q, k, num_lists())) {
+      truth.insert(hit.index);
+    }
     // A query with no exact neighbours carries no recall signal; counting
     // it in the denominator would deflate the average.
     if (truth.empty()) continue;
     ++counted;
-    auto approx = Query(q, k);
     int64_t hits = 0;
-    for (int64_t item : approx) {
-      if (truth.count(item)) ++hits;
+    for (const kernel::ScoredHit& hit : SearchOne(q, k, probes)) {
+      if (truth.count(hit.index)) ++hits;
     }
     recall +=
         static_cast<double>(hits) / static_cast<double>(truth.size());

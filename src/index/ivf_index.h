@@ -2,9 +2,9 @@
 #define ADAMINE_INDEX_IVF_INDEX_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "kernel/topk.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -18,7 +18,8 @@ namespace adamine::index {
 struct IvfConfig {
   /// Number of inverted lists (k of the coarse quantiser).
   int64_t num_lists = 16;
-  /// Lists scanned per query. num_probes == num_lists gives exact search.
+  /// Lists scanned per query, the seed of a caller's probe dial.
+  /// num_probes == num_lists gives exact search.
   int64_t num_probes = 4;
   int64_t kmeans_iterations = 20;
   uint64_t seed = 3;
@@ -29,74 +30,44 @@ struct IvfConfig {
 class IvfIndex {
  public:
   /// Builds the index over `items` [N, D] (rows should be L2-normalised,
-  /// as model embeddings are). Requires num_lists <= N.
+  /// as model embeddings are). Requires num_lists <= N. The config's
+  /// num_probes only seeds a caller's dial (the "ivf" backend owns it);
+  /// every search names its probe count explicitly.
   static StatusOr<IvfIndex> Build(Tensor items, const IvfConfig& config);
 
-  /// Indices of (approximately) the `k` most cosine-similar items to the
-  /// unit query row [D], most similar first. Requires k > 0 (checked).
-  std::vector<int64_t> Query(const Tensor& query, int64_t k) const;
-
-  /// Like Query with every list probed (exact, for recall measurement).
-  std::vector<int64_t> QueryExact(const Tensor& query, int64_t k) const;
-
-  /// Micro-batched Query over the rows of `queries` [B, D]: both the
-  /// centroid scan and the candidate scoring go through the kernel layer's
-  /// tiled GEMM instead of per-query scalar loops. Candidate rows for the
-  /// whole batch are gathered once (the union of every query's probed
+  /// The serving path: approximately the `k` most cosine-similar items to
+  /// each row of `queries` [B, D], ranked by kernel/topk.h's rule with
+  /// reference-bitwise scores. Both the centroid scan and the candidate
+  /// scoring go through the kernel layer's tiled GEMM: candidate rows for
+  /// the whole batch are gathered once (the union of every query's probed
   /// lists) and scored against all queries in one [B, U] GEMM; each query
   /// then ranks only its own probed candidates. Results are bit-identical
-  /// to calling Query per row, for every thread count.
-  std::vector<std::vector<int64_t>> QueryBatch(const Tensor& queries,
-                                               int64_t k) const;
+  /// to SearchOne per row, for every thread count. `k` and `probes` must
+  /// be positive (checked); `probes` is clamped to num_lists, and probing
+  /// every list is exact.
+  std::vector<std::vector<kernel::ScoredHit>> Search(const Tensor& queries,
+                                                     int64_t k,
+                                                     int64_t probes) const;
 
-  /// QueryBatch with every list probed (exact).
-  std::vector<std::vector<int64_t>> QueryBatchExact(const Tensor& queries,
-                                                    int64_t k) const;
-
-  /// Explicit-probe variants, for callers that own the probe dial (the
-  /// serving layer): `probes` must be positive (checked) and is clamped to
-  /// num_lists.
-  std::vector<int64_t> QueryWithProbes(const Tensor& query, int64_t k,
-                                       int64_t probes) const;
-  std::vector<std::vector<int64_t>> QueryBatchWithProbes(
-      const Tensor& queries, int64_t k, int64_t probes) const;
-
-  /// QueryBatchWithProbes keeping the (similarity, index) pairs the ranking
-  /// already computes, for callers that need per-hit scores (the serving
-  /// backend seam, where approximate answers still carry reference-bitwise
-  /// scores). Same order, same bit-identity guarantee.
-  std::vector<std::vector<std::pair<float, int64_t>>>
-  QueryBatchScoredWithProbes(const Tensor& queries, int64_t k,
-                             int64_t probes) const;
-
-  /// Runtime probe dial: overrides the config's num_probes for subsequent
-  /// queries. Rejects values outside (0, num_lists] — the same rule as
-  /// IvfConfig::Validate.
-  Status SetNumProbes(int64_t num_probes);
-  int64_t num_probes() const { return config_.num_probes; }
+  /// The per-query scalar path over one unit query row [D]: the reference
+  /// Search is diffed against, and what RecallAtK measures with. Same
+  /// contract as Search.
+  std::vector<kernel::ScoredHit> SearchOne(const Tensor& query, int64_t k,
+                                           int64_t probes) const;
 
   int64_t size() const { return items_.rows(); }
   int64_t num_lists() const { return centroids_.rows(); }
 
-  /// Fraction of Query(k) results that appear in QueryExact(k), averaged
-  /// over the rows of `queries` — the standard recall@k measure of ANN
-  /// quality. Queries whose exact-truth set is empty are excluded from the
-  /// average (they carry no signal); at least one query must have a
-  /// non-empty truth set (checked).
-  double RecallAtK(const Tensor& queries, int64_t k) const;
+  /// Fraction of SearchOne(k, probes) results that appear in the exact
+  /// (every-list) answer, averaged over the rows of `queries` — the
+  /// standard recall@k measure of ANN quality. Queries whose exact-truth
+  /// set is empty are excluded from the average (they carry no signal); at
+  /// least one query must have a non-empty truth set (checked).
+  double RecallAtK(const Tensor& queries, int64_t k, int64_t probes) const;
 
  private:
   IvfIndex() = default;
 
-  std::vector<int64_t> Search(const Tensor& query, int64_t k,
-                              int64_t probes) const;
-  std::vector<std::vector<int64_t>> SearchBatch(const Tensor& queries,
-                                                int64_t k,
-                                                int64_t probes) const;
-  std::vector<std::vector<std::pair<float, int64_t>>> SearchBatchScored(
-      const Tensor& queries, int64_t k, int64_t probes) const;
-
-  IvfConfig config_;
   Tensor items_;      // [N, D]
   Tensor centroids_;  // [num_lists, D]
   std::vector<std::vector<int64_t>> lists_;

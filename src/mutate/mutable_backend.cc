@@ -4,12 +4,12 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
+#include "kernel/topk.h"
 #include "util/stopwatch.h"
 
 namespace adamine::mutate {
@@ -63,8 +63,8 @@ serve::MutationPressure MutableBackend::pressure() const {
 }
 
 StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
-    const serve::QueryBatch& batch, const serve::Filter* /*filter*/,
-    int64_t k, const serve::QueryOptions& /*options*/) {
+    const serve::QueryBatch& batch, int64_t k,
+    const serve::QueryOptions& /*options*/) {
   const std::shared_ptr<const CorpusSnapshot> snap = corpus_->snapshot();
   const int64_t b = batch.queries.rows();
   const int64_t d = snap->dim;
@@ -84,7 +84,7 @@ StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
   watch.Restart();
   out.hits.resize(static_cast<size_t>(b));
   kernel::ParallelFor(b, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-    std::vector<std::pair<float, int64_t>> candidates;
+    std::vector<kernel::ScoredHit> candidates;
     for (int64_t i = i0; i < i1; ++i) {
       candidates.clear();
       candidates.reserve(static_cast<size_t>(snap->live_rows));
@@ -95,7 +95,7 @@ StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
         for (int64_t r = 0; r < segment.size(); ++r) {
           const int64_t id = segment.ids[static_cast<size_t>(r)];
           if (snap->deleted(id)) continue;
-          candidates.emplace_back(sims[r], id);
+          candidates.push_back(kernel::ScoredHit{id, sims[r]});
         }
       }
       // Memtable rows: the scalar reference chain per (query, row) —
@@ -107,25 +107,11 @@ StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
         const int64_t slot = r % MemChunk::kRows;
         const int64_t id = chunk.ids[static_cast<size_t>(slot)];
         if (snap->deleted(id)) continue;
-        candidates.emplace_back(
-            serve::DotAscending(chunk.data.data() + slot * d, query, d), id);
+        candidates.push_back(kernel::ScoredHit{
+            id, kernel::DotAscending(chunk.data.data() + slot * d, query, d)});
       }
-      const int64_t take =
-          std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
-      std::partial_sort(candidates.begin(), candidates.begin() + take,
-                        candidates.end(),
-                        [](const auto& a, const auto& b2) {
-                          return a.first > b2.first ||
-                                 (a.first == b2.first &&
-                                  a.second < b2.second);
-                        });
-      std::vector<serve::ScoredHit>& hits =
-          out.hits[static_cast<size_t>(i)];
-      hits.reserve(static_cast<size_t>(take));
-      for (int64_t j = 0; j < take; ++j) {
-        hits.push_back(serve::ScoredHit{candidates[static_cast<size_t>(j)].second,
-                                        candidates[static_cast<size_t>(j)].first});
-      }
+      kernel::KeepTopK(&candidates, k);
+      out.hits[static_cast<size_t>(i)] = candidates;
     }
   });
   out.rank_ms = watch.ElapsedMillis();

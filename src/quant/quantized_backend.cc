@@ -5,7 +5,7 @@
 // that provably contains the reference float-chain score. Stage 2 gathers
 // every row whose interval upper bound reaches the k-th best lower bound
 // (floored at rerank_factor * k rows) and reranks just those with the exact
-// reference dot (serve::DotAscending, compiled in backend.cc under
+// reference dot (kernel::DotAscending, compiled in kernel/topk.cc under
 // -ffp-contract=off). Because no excluded row can beat the k-th best lower
 // bound, the final top-k is bit-identical to the exhaustive path — this
 // backend reports exact() == true and passes the golden-diff matrix.
@@ -35,6 +35,7 @@
 
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
+#include "kernel/topk.h"
 #include "quant/int8_corpus.h"
 #include "util/stopwatch.h"
 
@@ -43,7 +44,6 @@ namespace adamine::quant {
 namespace {
 
 using serve::BackendConfig;
-using serve::Filter;
 using serve::QueryBatch;
 using serve::QueryOptions;
 using serve::ScoredHit;
@@ -111,8 +111,7 @@ class QuantizedBackend final : public ScoringBackend {
   bool exact() const override { return true; }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t b = batch.queries.rows();
@@ -221,16 +220,9 @@ class QuantizedBackend final : public ScoringBackend {
           continue;
         }
         cands.push_back(ScoredHit{
-            r, serve::DotAscending(items_.data() + r * d, q, d)});
+            r, kernel::DotAscending(items_.data() + r * d, q, d)});
       }
-      const int64_t keep =
-          std::min(take, static_cast<int64_t>(cands.size()));
-      std::partial_sort(cands.begin(), cands.begin() + keep, cands.end(),
-                        [](const ScoredHit& a, const ScoredHit& b2) {
-                          return a.score > b2.score ||
-                                 (a.score == b2.score && a.index < b2.index);
-                        });
-      cands.resize(static_cast<size_t>(keep));
+      kernel::KeepTopK(&cands, take);
         out.hits[static_cast<size_t>(i)] = cands;
       }
     });

@@ -1,16 +1,14 @@
-// The scoring-backend registry and the built-in engines. The scalar
-// reference loops in this file are single ascending float accumulation
-// chains, exactly the per-element order of kernel::Gemm; the TU is
-// compiled with -O3;-ffp-contract=off (src/CMakeLists.txt) so the
-// compiler cannot fuse them into FMAs, keeping every backend bit-identical
-// to the reference (see DESIGN.md, "Backend registry").
+// The scoring-backend registry and the built-in engines. Every engine
+// scores with kernel::DotAscending's chain (or kernel::Gemm, which has the
+// same per-element order) and ranks through kernel/topk.h, so each is
+// bit-identical to the scalar reference (see DESIGN.md, "Backend
+// registry").
 
 #include "serve/backend.h"
 
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <utility>
 
 #include "kernel/gemm.h"
@@ -22,10 +20,12 @@
 
 namespace adamine::serve {
 
-float DotAscending(const float* a, const float* b, int64_t d) {
-  float acc = 0.0f;
-  for (int64_t j = 0; j < d; ++j) acc += a[j] * b[j];
-  return acc;
+std::chrono::steady_clock::time_point DeadlineOf(const QueryOptions& options) {
+  using Clock = std::chrono::steady_clock;
+  if (options.deadline_ms <= 0.0) return Clock::time_point::max();
+  return Clock::now() +
+         std::chrono::duration_cast<Clock::duration>(
+             std::chrono::duration<double, std::milli>(options.deadline_ms));
 }
 
 namespace {
@@ -52,40 +52,25 @@ class ScalarBackend final : public ScoringBackend {
   int64_t dim() const override { return items_.cols(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t b = batch.queries.rows();
     const int64_t d = items_.cols();
     const int64_t n = items_.rows();
-    const int64_t take = std::min(k, n);
     TopKResult out;
     out.hits.resize(static_cast<size_t>(b));
     Stopwatch watch;
     std::vector<float> sims(static_cast<size_t>(n));
-    std::vector<int64_t> order(static_cast<size_t>(n));
+    std::vector<int64_t> order;
     for (int64_t i = 0; i < b; ++i) {
       const float* query = batch.queries.data() + i * d;
       for (int64_t r = 0; r < n; ++r) {
         sims[static_cast<size_t>(r)] =
-            DotAscending(items_.data() + r * d, query, d);
+            kernel::DotAscending(items_.data() + r * d, query, d);
       }
-      std::iota(order.begin(), order.end(), 0);
-      std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                        [&sims](int64_t a, int64_t b2) {
-                          return sims[static_cast<size_t>(a)] >
-                                     sims[static_cast<size_t>(b2)] ||
-                                 (sims[static_cast<size_t>(a)] ==
-                                      sims[static_cast<size_t>(b2)] &&
-                                  a < b2);
-                        });
-      std::vector<ScoredHit>& hits = out.hits[static_cast<size_t>(i)];
-      hits.reserve(static_cast<size_t>(take));
-      for (int64_t j = 0; j < take; ++j) {
-        const int64_t id = order[static_cast<size_t>(j)];
-        hits.push_back(ScoredHit{id, sims[static_cast<size_t>(id)]});
-      }
+      kernel::TopKOfRow(sims.data(), n, k, &order,
+                        &out.hits[static_cast<size_t>(i)]);
     }
     out.score_ms = watch.ElapsedMillis();  // Scoring and ranking are fused.
     return out;
@@ -106,8 +91,7 @@ class ExhaustiveBackend final : public ScoringBackend {
   int64_t dim() const override { return items_.cols(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t m = batch.queries.rows();
@@ -120,24 +104,12 @@ class ExhaustiveBackend final : public ScoringBackend {
                  n, d, sims.data());
     out.score_ms = watch.ElapsedMillis();
     watch.Restart();
-    const int64_t take = std::min(k, n);
     out.hits.resize(static_cast<size_t>(m));
     kernel::ParallelFor(m, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-      std::vector<int64_t> order(static_cast<size_t>(n));
+      std::vector<int64_t> order;
       for (int64_t i = i0; i < i1; ++i) {
-        const float* row = sims.data() + i * n;
-        std::iota(order.begin(), order.end(), 0);
-        std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                          [row](int64_t a, int64_t b) {
-                            return row[a] > row[b] ||
-                                   (row[a] == row[b] && a < b);
-                          });
-        std::vector<ScoredHit>& hits = out.hits[static_cast<size_t>(i)];
-        hits.reserve(static_cast<size_t>(take));
-        for (int64_t j = 0; j < take; ++j) {
-          hits.push_back(ScoredHit{order[static_cast<size_t>(j)],
-                                   row[order[static_cast<size_t>(j)]]});
-        }
+        kernel::TopKOfRow(sims.data() + i * n, n, k, &order,
+                          &out.hits[static_cast<size_t>(i)]);
       }
     });
     out.rank_ms = watch.ElapsedMillis();
@@ -153,8 +125,8 @@ class ExhaustiveBackend final : public ScoringBackend {
 /// every list is probed.
 class IvfBackend final : public ScoringBackend {
  public:
-  IvfBackend(index::IvfIndex index, int64_t dim)
-      : index_(std::move(index)), dim_(dim), probes_(index_.num_probes()) {}
+  IvfBackend(index::IvfIndex index, int64_t dim, int64_t probes)
+      : index_(std::move(index)), dim_(dim), probes_(probes) {}
 
   const char* name() const override { return "ivf"; }
   int64_t size() const override { return index_.size(); }
@@ -180,8 +152,7 @@ class IvfBackend final : public ScoringBackend {
   bool exact() const override { return probes() == index_.num_lists(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& options) override {
     const int64_t effective =
         options.probes > 0 ? std::min(options.probes, index_.num_lists())
@@ -190,16 +161,8 @@ class IvfBackend final : public ScoringBackend {
     Stopwatch watch;
     // The fused batched search (centroid scan, candidate GEMM, per-query
     // ranking) reports as one score stage; rank_ms stays fused.
-    const auto scored =
-        index_.QueryBatchScoredWithProbes(batch.queries, k, effective);
+    out.hits = index_.Search(batch.queries, k, effective);
     out.score_ms = watch.ElapsedMillis();
-    out.hits.resize(scored.size());
-    for (size_t i = 0; i < scored.size(); ++i) {
-      out.hits[i].reserve(scored[i].size());
-      for (const auto& [score, id] : scored[i]) {
-        out.hits[i].push_back(ScoredHit{id, score});
-      }
-    }
     return out;
   }
 
@@ -223,8 +186,7 @@ class ShardedBackend final : public ScoringBackend {
   int64_t dim() const override { return service_->dim(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& options) override {
     Stopwatch watch;
     QueryOptions fanout = options;
@@ -281,8 +243,9 @@ Registry& GlobalRegistry() {
           // Tensor copies alias the buffer, so the index shares the rows.
           auto index = index::IvfIndex::Build(config.items, config.ivf);
           if (!index.ok()) return index.status();
-          return std::unique_ptr<ScoringBackend>(new IvfBackend(
-              std::move(index).value(), config.items.cols()));
+          return std::unique_ptr<ScoringBackend>(
+              new IvfBackend(std::move(index).value(), config.items.cols(),
+                             config.ivf.num_probes));
         },
         BackendTraits{/*has_probes=*/true, /*sharded=*/false}};
     r->entries["sharded"] = {
@@ -365,7 +328,7 @@ StatusOr<TopKResult> ScoringBackend::ScoreTopK(const QueryBatch& batch,
         "query dim " + std::to_string(batch.queries.cols()) +
         " does not match corpus dim " + std::to_string(dim()));
   }
-  return ScoreTopKImpl(batch, filter, k, options);
+  return ScoreTopKImpl(batch, k, options);
 }
 
 Status ScoringBackend::SetProbes(int64_t /*probes*/) {

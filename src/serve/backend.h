@@ -1,6 +1,7 @@
 #ifndef ADAMINE_SERVE_BACKEND_H_
 #define ADAMINE_SERVE_BACKEND_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -8,31 +9,17 @@
 #include <vector>
 
 #include "index/ivf_index.h"
+#include "kernel/topk.h"
 #include "serve/serve_stats.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
 namespace adamine::serve {
 
-/// Inner product as a single float accumulation chain in ascending j — the
-/// per-element order of kernel::Gemm and of index::IvfIndex's scalar path.
-/// This is *the* reference similarity: every exact backend must produce
-/// scores with these bits. Defined in backend.cc, which is on the
-/// -ffp-contract=off list, so callers in other TUs get the un-fused chain
-/// regardless of their own compile flags.
-float DotAscending(const float* a, const float* b, int64_t d);
-
-/// One retrieved item with its cosine score — the currency of the sharded
-/// merge path, where per-shard top-k lists are re-ranked globally and
-/// shard-local tie-breaking alone cannot order candidates across shards.
-struct ScoredHit {
-  int64_t index = 0;  // Row id in the backend's item set.
-  float score = 0.0f;
-
-  bool operator==(const ScoredHit& other) const {
-    return index == other.index && score == other.score;
-  }
-};
+/// One retrieved item with its cosine score — the currency of every
+/// backend answer and of the sharded merge. Ranked by the one rule in
+/// kernel/topk.h.
+using ScoredHit = kernel::ScoredHit;
 
 /// Per-request serving options, threaded from the service entry point down
 /// to the scoring backend.
@@ -48,6 +35,11 @@ struct QueryOptions {
   /// the scored result disagree with the key it is cached under.
   int64_t probes = 0;
 };
+
+/// The absolute deadline of a request entering the service now:
+/// steady_clock::now() + options.deadline_ms, or time_point::max() when
+/// there is no deadline. Both service facades measure budgets from here.
+std::chrono::steady_clock::time_point DeadlineOf(const QueryOptions& options);
 
 /// A batch of query rows. An undefined tensor is the empty batch (zero
 /// queries) — Tensor cannot represent a [0, D] shape, so emptiness is the
@@ -178,10 +170,10 @@ class ScoringBackend {
   virtual MutationPressure pressure() const { return {}; }
 
  protected:
-  /// The backend's scoring body. Called with a validated non-empty batch
-  /// and a null filter.
+  /// The backend's scoring body. Called with a validated non-empty batch;
+  /// ScoreTopK has already rejected any filter.
   virtual StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                             const Filter* filter, int64_t k,
+                                             int64_t k,
                                              const QueryOptions& options) = 0;
 };
 

@@ -217,8 +217,6 @@ class RetrievalService {
 
   RetrievalService(Tensor items, const ServeConfig& config);
 
-  static TimePoint DeadlineOf(const QueryOptions& options);
-
   /// Exact-match cache key: the raw query bytes, k, the probe dial, and
   /// the backend's mutation epoch — entries cached before an Add / Delete
   /// are keyed under the old epoch and can never be served again (they age

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "kernel/topk.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -16,25 +17,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
-TimePoint DeadlineOf(const QueryOptions& options) {
-  if (options.deadline_ms <= 0.0) return TimePoint::max();
-  return Clock::now() +
-         std::chrono::duration_cast<Clock::duration>(
-             std::chrono::duration<double, std::milli>(options.deadline_ms));
-}
-
 double MillisSince(TimePoint start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-/// The unsharded exhaustive ranking order: best score first, global row id
-/// breaking ties. Because every (query, item) dot product is computed by
-/// the same chain on every shard as in the unsharded service, sorting the
-/// union of per-shard top-k lists with this comparator reproduces the
-/// unsharded answer bit for bit.
-bool BetterHit(const ScoredHit& a, const ScoredHit& b) {
-  return a.score > b.score || (a.score == b.score && a.index < b.index);
 }
 
 }  // namespace
@@ -307,8 +292,10 @@ StatusOr<ShardedQueryResult> ShardedRetrievalService::QueryBatchWithOptions(
   }
 
   // Gather: per query row, merge the per-shard top-k lists into the global
-  // top-k. Any corpus-wide top-k item is within its own shard's top-k, so
-  // sorting the union with the unsharded comparator is exact.
+  // top-k. Every (query, item) dot product is computed by the same chain on
+  // every shard as unsharded, and any corpus-wide top-k item is within its
+  // own shard's top-k, so ranking the union by the one rule (kernel/topk.h,
+  // global id breaking ties) reproduces the unsharded answer bit for bit.
   const TimePoint merge_start = Clock::now();
   ShardedQueryResult out;
   out.partial = first_failed >= 0;
@@ -323,12 +310,8 @@ StatusOr<ShardedQueryResult> ShardedRetrievalService::QueryBatchWithOptions(
           shard_hits[static_cast<size_t>(s)][static_cast<size_t>(row)];
       pool.insert(pool.end(), hits.begin(), hits.end());
     }
-    const int64_t take = std::min<int64_t>(k,
-                                           static_cast<int64_t>(pool.size()));
-    std::partial_sort(pool.begin(), pool.begin() + take, pool.end(),
-                      BetterHit);
-    out.results[static_cast<size_t>(row)]
-        .assign(pool.begin(), pool.begin() + take);
+    kernel::KeepTopK(&pool, k);
+    out.results[static_cast<size_t>(row)] = pool;
   }
   const double merge_ms = MillisSince(merge_start);
 

@@ -134,8 +134,8 @@ class RemoteBackend final : public serve::ScoringBackend {
 
  protected:
   StatusOr<serve::TopKResult> ScoreTopKImpl(
-      const serve::QueryBatch& batch, const serve::Filter* /*filter*/,
-      int64_t k, const serve::QueryOptions& options) override {
+      const serve::QueryBatch& batch, int64_t k,
+      const serve::QueryOptions& options) override {
     auto merged = service_->QueryBatchWithOptions(batch.queries, k, options);
     if (!merged.ok()) return merged.status();
     serve::TopKResult out;

@@ -5,12 +5,14 @@
 // layer"). The tests sweep widths {1, 2, 4, 7} — powers of two plus an odd
 // width that leaves ragged chunk-to-thread assignments — over the GEMM
 // variants, the reductions, the batch losses on a realistic batch, the
-// retrieval ranking, and one full training epoch.
+// retrieval ranking, and one full training epoch. The TopKTest cases pin
+// the one ranking rule (kernel/topk.h) every retrieval path selects with.
 
 #include "kernel/kernel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "eval/metrics.h"
 #include "kernel/gemm.h"
 #include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -233,6 +236,111 @@ TEST(GemmTest, ZeroInnerDimensionZeroesTheOutput) {
   std::vector<float> c(12, 7.0f);
   kernel::Gemm(&dummy, 0, false, &dummy, 4, false, 3, 4, 0, c.data());
   for (float v : c) EXPECT_EQ(v, 0.0f);
+}
+
+// The one ranking rule (kernel/topk.h): (score desc, id asc) through both
+// selectors, and the reference dot that feeds them.
+
+std::vector<int64_t> IdsOf(const std::vector<kernel::ScoredHit>& hits) {
+  std::vector<int64_t> ids;
+  for (const kernel::ScoredHit& hit : hits) ids.push_back(hit.index);
+  return ids;
+}
+
+/// Full-sort reference of the rule over a dense row.
+std::vector<kernel::ScoredHit> SortedRow(const std::vector<float>& scores) {
+  std::vector<kernel::ScoredHit> all;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    all.push_back(kernel::ScoredHit{static_cast<int64_t>(i), scores[i]});
+  }
+  std::sort(all.begin(), all.end(), kernel::RanksBefore);
+  return all;
+}
+
+TEST(TopKTest, EqualScoresOrderById) {
+  const std::vector<float> scores = {0.5f, 0.7f, 0.5f, 0.7f, 0.5f};
+  std::vector<int64_t> order;
+  std::vector<kernel::ScoredHit> dense;
+  kernel::TopKOfRow(scores.data(), 5, 5, &order, &dense);
+  EXPECT_EQ(IdsOf(dense), (std::vector<int64_t>{1, 3, 0, 2, 4}));
+  std::vector<kernel::ScoredHit> list = {
+      {4, 0.5f}, {3, 0.7f}, {2, 0.5f}, {1, 0.7f}, {0, 0.5f}};
+  kernel::KeepTopK(&list, 3);
+  EXPECT_EQ(IdsOf(list), (std::vector<int64_t>{1, 3, 0}));
+}
+
+TEST(TopKTest, SignedZerosTieAndKeepTheirBits) {
+  const std::vector<float> scores = {0.0f, -0.0f, 0.0f, -0.0f};
+  std::vector<int64_t> order;
+  std::vector<kernel::ScoredHit> dense;
+  kernel::TopKOfRow(scores.data(), 4, 4, &order, &dense);
+  EXPECT_EQ(IdsOf(dense), (std::vector<int64_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(std::signbit(dense[1].score));
+  EXPECT_FALSE(std::signbit(dense[2].score));
+  std::vector<kernel::ScoredHit> list = {{3, -0.0f}, {2, 0.0f}, {1, -0.0f}};
+  kernel::KeepTopK(&list, 2);
+  EXPECT_EQ(IdsOf(list), (std::vector<int64_t>{1, 2}));
+  EXPECT_TRUE(std::signbit(list[0].score));
+}
+
+TEST(TopKTest, KOfOneAllAndMoreThanAll) {
+  Rng rng(53);
+  std::vector<float> scores(37);
+  for (float& v : scores) v = static_cast<float>(rng.Normal(0, 1));
+  scores[7] = scores[20];  // One exact tie among the random scores.
+  const std::vector<kernel::ScoredHit> sorted = SortedRow(scores);
+  for (int64_t k : {1, 37, 100}) {
+    const size_t take = std::min<size_t>(static_cast<size_t>(k), 37);
+    const std::vector<kernel::ScoredHit> want(sorted.begin(),
+                                              sorted.begin() + take);
+    std::vector<int64_t> order;
+    std::vector<kernel::ScoredHit> dense;
+    kernel::TopKOfRow(scores.data(), 37, k, &order, &dense);
+    EXPECT_EQ(dense, want) << "k " << k;
+    std::vector<kernel::ScoredHit> list(sorted.rbegin(), sorted.rend());
+    kernel::KeepTopK(&list, k);
+    EXPECT_EQ(list, want) << "k " << k;
+  }
+}
+
+TEST(TopKTest, KeepOnMergedSourcesMatchesDenseSelection) {
+  // Per-source top-k lists over contiguous id ranges (the sharded merge,
+  // the mutable backend's segments + memtable), concatenated and kept, must
+  // equal one dense selection over the whole row — including ties that
+  // straddle source boundaries.
+  Rng rng(59);
+  std::vector<float> scores(60);
+  for (float& v : scores) {
+    v = static_cast<float>(std::round(rng.Normal(0, 1) * 4.0) / 4.0);
+  }
+  const int64_t k = 9;
+  std::vector<kernel::ScoredHit> merged;
+  std::vector<int64_t> order;
+  for (int64_t begin : {0, 17, 40}) {
+    const int64_t end = begin == 40 ? 60 : (begin == 0 ? 17 : 40);
+    std::vector<kernel::ScoredHit> local;
+    kernel::TopKOfRow(scores.data() + begin, end - begin, k, &order, &local);
+    for (kernel::ScoredHit hit : local) {
+      hit.index += begin;  // Global ids.
+      merged.push_back(hit);
+    }
+  }
+  kernel::KeepTopK(&merged, k);
+  std::vector<kernel::ScoredHit> dense;
+  kernel::TopKOfRow(scores.data(), 60, k, &order, &dense);
+  EXPECT_EQ(merged, dense);
+}
+
+TEST(TopKTest, DotAscendingMatchesGemmBits) {
+  Rng rng(61);
+  Tensor a = Tensor::Randn({1, 67}, rng);
+  Tensor b = Tensor::Randn({5, 67}, rng);
+  Tensor c({1, 5});
+  kernel::Gemm(a.data(), 67, false, b.data(), 67, true, 1, 5, 67, c.data());
+  for (int64_t j = 0; j < 5; ++j) {
+    const float dot = kernel::DotAscending(a.data(), b.data() + j * 67, 67);
+    EXPECT_EQ(std::memcmp(&dot, c.data() + j, sizeof(float)), 0) << j;
+  }
 }
 
 TEST(ElementwiseGuardDeathTest, UndefinedOperandsAreRejected) {

@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/embedder.h"
 #include "index/ivf_index.h"
 #include "io/serialize.h"
 #include "kernel/kernel.h"
@@ -69,6 +68,12 @@ Tensor RowOf(const Tensor& m, int64_t i) {
   return row;
 }
 
+std::vector<int64_t> IdsOf(const std::vector<serve::ScoredHit>& hits) {
+  std::vector<int64_t> ids;
+  for (const serve::ScoredHit& hit : hits) ids.push_back(hit.index);
+  return ids;
+}
+
 serve::ServeConfig ExhaustiveConfig(int64_t micro_batch = 32,
                                     int64_t cache = 0) {
   serve::ServeConfig config;
@@ -112,11 +117,15 @@ TEST(ServeConfigTest, Validation) {
 TEST(RetrievalServiceTest, MicroBatchSplitsMatchScalarPath) {
   Tensor items = ClusteredUnitRows(6, 10, 16, 3);
   Tensor queries = ClusteredUnitRows(6, 2, 16, 5);
-  core::RetrievalIndex scalar(items);
+  serve::BackendConfig scalar_config;
+  scalar_config.items = items;
+  auto scalar = serve::CreateBackend("scalar", scalar_config);
+  ASSERT_TRUE(scalar.ok());
+  auto scored = (*scalar)->ScoreTopK(serve::QueryBatch{queries}, nullptr, 10,
+                                     serve::QueryOptions());
+  ASSERT_TRUE(scored.ok());
   std::vector<std::vector<int64_t>> expect;
-  for (int64_t i = 0; i < queries.rows(); ++i) {
-    expect.push_back(scalar.Query(RowOf(queries, i), 10));
-  }
+  for (const auto& hits : scored->hits) expect.push_back(IdsOf(hits));
   for (int64_t micro_batch : {1, 7, 64}) {
     auto service = serve::RetrievalService::Create(
         items, ExhaustiveConfig(micro_batch));
@@ -124,6 +133,21 @@ TEST(RetrievalServiceTest, MicroBatchSplitsMatchScalarPath) {
     auto got = (*service)->QueryBatch(queries, 10);
     EXPECT_EQ(got, expect) << "micro-batch " << micro_batch;
   }
+}
+
+TEST(ScalarBackendTest, FindsNearestByConstruction) {
+  serve::BackendConfig config;
+  config.items = Tensor::FromVector({3, 2}, {1, 0, 0, 1, -1, 0});
+  auto scalar = serve::CreateBackend("scalar", config);
+  ASSERT_TRUE(scalar.ok());
+  const serve::QueryBatch batch{Tensor::FromVector({1, 2}, {0.9f, 0.1f})};
+  auto top = (*scalar)->ScoreTopK(batch, nullptr, 2, serve::QueryOptions());
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(IdsOf(top->hits[0]), (std::vector<int64_t>{0, 1}));
+  // k larger than the corpus is capped.
+  auto all = (*scalar)->ScoreTopK(batch, nullptr, 10, serve::QueryOptions());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->hits[0].size(), 3u);
 }
 
 TEST(IvfIndexBatchTest, BatchedQueryMatchesPerQueryScalar) {
@@ -135,12 +159,13 @@ TEST(IvfIndexBatchTest, BatchedQueryMatchesPerQueryScalar) {
   ivf.num_probes = 2;
   auto index = index::IvfIndex::Build(items.Clone(), ivf);
   ASSERT_TRUE(index.ok());
-  auto batched = index->QueryBatch(queries, 7);
-  auto batched_exact = index->QueryBatchExact(queries, 7);
+  auto batched = index->Search(queries, 7, /*probes=*/2);
+  auto batched_exact = index->Search(queries, 7, /*probes=*/5);
   for (int64_t i = 0; i < queries.rows(); ++i) {
     Tensor q = RowOf(queries, i);
-    EXPECT_EQ(batched[static_cast<size_t>(i)], index->Query(q, 7));
-    EXPECT_EQ(batched_exact[static_cast<size_t>(i)], index->QueryExact(q, 7));
+    EXPECT_EQ(batched[static_cast<size_t>(i)], index->SearchOne(q, 7, 2));
+    EXPECT_EQ(batched_exact[static_cast<size_t>(i)],
+              index->SearchOne(q, 7, 5));
   }
 }
 
@@ -359,15 +384,13 @@ TEST(IvfIndexValidationTest, RejectsNonPositiveKAndProbes) {
   auto index = index::IvfIndex::Build(items.Clone(), ivf);
   ASSERT_TRUE(index.ok());
   Tensor q = RowOf(items, 0);
-  EXPECT_DEATH(index->Query(q, 0), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->Query(q, -3), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->QueryWithProbes(q, 5, 0), "\\(probes\\) > \\(0\\)");
-  EXPECT_DEATH(index->QueryBatchWithProbes(items, 5, -1),
-               "\\(probes\\) > \\(0\\)");
-  EXPECT_FALSE(index->SetNumProbes(0).ok());
-  EXPECT_FALSE(index->SetNumProbes(5).ok());  // > num_lists.
-  ASSERT_TRUE(index->SetNumProbes(4).ok());
-  EXPECT_EQ(index->num_probes(), 4);
+  EXPECT_DEATH(index->SearchOne(q, 0, 2), "\\(k\\) > \\(0\\)");
+  EXPECT_DEATH(index->SearchOne(q, -3, 2), "\\(k\\) > \\(0\\)");
+  EXPECT_DEATH(index->Search(items, 0, 2), "\\(k\\) > \\(0\\)");
+  EXPECT_DEATH(index->SearchOne(q, 5, 0), "\\(probes\\) > \\(0\\)");
+  EXPECT_DEATH(index->Search(items, 5, -1), "\\(probes\\) > \\(0\\)");
+  // The probe dial's range checks live on the ivf backend (SetProbes),
+  // pinned by the golden suite's probe-dial contract test.
 }
 
 TEST(RetrievalServiceConcurrencyTest, ConcurrentQueriesAreConsistent) {
@@ -755,7 +778,10 @@ TEST(RetrievalServiceConcurrencyTest, ProbeDialStressNeverTearsResults) {
   const std::vector<int64_t> dial_values = {1, 2, 4, 8};
   std::vector<std::vector<std::vector<int64_t>>> truth;
   for (int64_t probes : dial_values) {
-    truth.push_back(index->QueryBatchWithProbes(queries, 5, probes));
+    truth.emplace_back();
+    for (const auto& hits : index->Search(queries, 5, probes)) {
+      truth.back().push_back(IdsOf(hits));
+    }
   }
   std::atomic<int> torn{0};
   std::atomic<bool> stop{false};
@@ -820,7 +846,7 @@ TEST_F(OverloadTest, ShedsDegradesAndRecoversUnderOverload) {
     auto got = (*service)->QueryBatch(queries, 5);
     for (int64_t i = 0; i < queries.rows(); ++i) {
       EXPECT_EQ(got[static_cast<size_t>(i)],
-                index->QueryWithProbes(RowOf(queries, i), 5, 4))
+                IdsOf(index->SearchOne(RowOf(queries, i), 5, 4)))
           << "width " << width;
     }
   }
