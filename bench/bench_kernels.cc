@@ -4,7 +4,8 @@
 // evaluation; sizes mirror the defaults used by the table benches.
 //
 // GEMM, cosine-similarity and ranking carry a second argument — the kernel
-// thread-pool width — so `BM_Gemm/256/4` reads "n=256, 4 threads". Thread
+// thread-pool width — so `BM_Gemm/256/4` reads "n=256, 4 threads"; the
+// serving-shape GEMMs read `BM_GemmPacked/M/N/threads`. Thread
 // count never changes the bits of the result (see DESIGN.md, "Kernel
 // execution layer"), only the wall clock, so the sweep is a pure scaling
 // measurement.
@@ -13,6 +14,7 @@
 
 #include "core/losses.h"
 #include "eval/metrics.h"
+#include "kernel/gemm.h"
 #include "kernel/kernel.h"
 #include "nn/embedding.h"
 #include "nn/lstm.h"
@@ -59,6 +61,58 @@ void BM_GemmTransB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmTransB)->ArgsProduct({{64, 128}, {1, 4}});
+
+// The serving shape: M query rows against an N-row, K=128 corpus, op(B) =
+// corpus^T. BM_GemmOneShot pays the corpus pack on every call, as a
+// caller of kernel::Gemm does; BM_GemmPacked packs it once outside the
+// timed loop, as the exhaustive backend and the mutable segments do.
+// Arguments: M, N, threads.
+constexpr int64_t kServeDim = 128;
+
+void BM_GemmOneShot(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  ThreadGuard guard(static_cast<int>(state.range(2)));
+  Rng rng(1);
+  Tensor q = Tensor::Randn({m, kServeDim}, rng);
+  Tensor corpus = Tensor::Randn({n, kServeDim}, rng);
+  Tensor c({m, n});
+  for (auto _ : state) {
+    kernel::Gemm(q.data(), kServeDim, false, corpus.data(), kServeDim, true,
+                 m, n, kServeDim, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * kServeDim);
+}
+
+void BM_GemmPacked(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  ThreadGuard guard(static_cast<int>(state.range(2)));
+  Rng rng(1);
+  Tensor q = Tensor::Randn({m, kServeDim}, rng);
+  Tensor corpus = Tensor::Randn({n, kServeDim}, rng);
+  const kernel::PackedB packed =
+      kernel::PackB(corpus.data(), kServeDim, true, kServeDim, n);
+  Tensor c({m, n});
+  for (auto _ : state) {
+    kernel::GemmPacked(q.data(), kServeDim, false, packed, m, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * kServeDim);
+}
+
+void ServingShapes(benchmark::internal::Benchmark* bench) {
+  for (int threads : {1, 4}) {
+    bench->Args({1, 10000, threads});
+    bench->Args({1, 20000, threads});
+    bench->Args({64, 20000, threads});
+  }
+}
+BENCHMARK(BM_GemmOneShot)->Apply(ServingShapes);
+BENCHMARK(BM_GemmPacked)->Apply(ServingShapes);
 
 void BM_CosineSimilarityMatrix(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -2,6 +2,9 @@
 // vectors, train the AdaMine cross-modal model, evaluate retrieval, and run
 // one image->recipe and one recipe->image query.
 //
+// Results go to stdout, which is byte-identical across runs of one build;
+// wall-clock timings go to stderr.
+//
 // Build & run:  cmake -B build -G Ninja && cmake --build build &&
 //               ./build/examples/example_quickstart
 
@@ -48,13 +51,12 @@ int main() {
     return 1;
   }
   auto& pipe = *pipeline.value();
-  std::printf("      %lld train / %lld val / %lld test pairs, vocab %lld"
-              " (%.1fs)\n",
+  std::printf("      %lld train / %lld val / %lld test pairs, vocab %lld\n",
               static_cast<long long>(pipe.train_set().size()),
               static_cast<long long>(pipe.val_set().size()),
               static_cast<long long>(pipe.test_set().size()),
-              static_cast<long long>(pipe.vocab().size()),
-              phase.ElapsedSeconds());
+              static_cast<long long>(pipe.vocab().size()));
+  std::fprintf(stderr, "      data ready in %.1fs\n", phase.ElapsedSeconds());
 
   std::printf("[2/4] training AdaMine (instance + semantic, adaptive)...\n");
   phase.Restart();
@@ -74,12 +76,14 @@ int main() {
   for (const auto& epoch : run->history) {
     std::printf(
         "      epoch %2lld  L_ins %.4f  L_sem %.4f  active %.0f%%/%.0f%%"
-        "  val MedR %.1f  (%.1fs)\n",
+        "  val MedR %.1f\n",
         static_cast<long long>(epoch.epoch), epoch.instance_loss,
         epoch.semantic_loss, 100 * epoch.active_fraction_ins,
-        100 * epoch.active_fraction_sem, epoch.val_medr, epoch.seconds);
+        100 * epoch.active_fraction_sem, epoch.val_medr);
+    std::fprintf(stderr, "      epoch %2lld took %.1fs\n",
+                 static_cast<long long>(epoch.epoch), epoch.seconds);
   }
-  std::printf("      trained in %.1fs\n", phase.ElapsedSeconds());
+  std::fprintf(stderr, "      trained in %.1fs\n", phase.ElapsedSeconds());
 
   std::printf("[3/4] evaluating cross-modal retrieval on the test set...\n");
   const auto& emb = run->test_embeddings;
@@ -118,6 +122,7 @@ int main() {
     std::printf(" %s%s", test_recipes[static_cast<size_t>(idx)].class_name.c_str(),
                 idx == 0 ? "(match)" : "");
   }
-  std::printf("\n      total %.1fs\n", total.ElapsedSeconds());
+  std::printf("\n");
+  std::fprintf(stderr, "      total %.1fs\n", total.ElapsedSeconds());
   return 0;
 }

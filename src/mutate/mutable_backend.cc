@@ -70,14 +70,15 @@ StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
   const int64_t d = snap->dim;
   serve::TopKResult out;
   Stopwatch watch;
-  // One GEMM per sealed segment; the per-element accumulation order is the
-  // scalar reference chain, so these scores carry reference bits.
+  // One sweep per sealed segment over the panels packed when it was built;
+  // the per-element accumulation order is the scalar reference chain, so
+  // these scores carry reference bits.
   std::vector<Tensor> segment_sims;
   segment_sims.reserve(snap->sealed.size());
   for (const auto& segment : snap->sealed) {
     Tensor sims({b, segment->size()});
-    kernel::Gemm(batch.queries.data(), d, false, segment->rows.data(), d,
-                 true, b, segment->size(), d, sims.data());
+    kernel::GemmPacked(batch.queries.data(), d, false, segment->panels, b,
+                       sims.data());
     segment_sims.push_back(std::move(sims));
   }
   out.score_ms = watch.ElapsedMillis();

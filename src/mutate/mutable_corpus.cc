@@ -212,6 +212,7 @@ Status MutableCorpus::Recover() {
                                 file + " which failed to load: " +
                                 segment.status().ToString());
       }
+      segment->panels = PackSegmentRows(segment->rows);
       sealed_.push_back(std::make_shared<const SealedSegment>(
           std::move(segment.value())));
       live_files.insert(file);
@@ -605,6 +606,7 @@ Status MutableCorpus::DoSeal() {
   }
   std::string segment_file;
   Tensor rows;
+  kernel::PackedB panels;
   if (!ids.empty()) {
     int64_t seq = 0;
     {
@@ -628,6 +630,7 @@ Status MutableCorpus::DoSeal() {
         });
     ADAMINE_RETURN_IF_ERROR(
         WriteSegmentFile(dir_ + "/" + segment_file, ids, rows));
+    panels = PackSegmentRows(rows);
   }
   if (fault::ShouldFail(fault::kMutateSealCrash)) {
     // Crash between segment write and manifest commit: the segment (if
@@ -704,6 +707,7 @@ Status MutableCorpus::DoSeal() {
     sealed.file = segment_file;
     sealed.ids = std::move(ids);
     sealed.rows = std::move(rows);
+    sealed.panels = std::move(panels);
     sealed_.push_back(
         std::make_shared<const SealedSegment>(std::move(sealed)));
   }
@@ -779,6 +783,7 @@ Status MutableCorpus::DoMerge() {
   std::string segment_file;
   std::vector<int64_t> ids;
   Tensor rows;
+  kernel::PackedB panels;
   if (survivors > 0) {
     ids.reserve(static_cast<size_t>(survivors));
     std::vector<const float*> sources;
@@ -811,6 +816,7 @@ Status MutableCorpus::DoMerge() {
     segment_file = SegmentFileName(seq);
     ADAMINE_RETURN_IF_ERROR(
         WriteSegmentFile(dir_ + "/" + segment_file, ids, rows));
+    panels = PackSegmentRows(rows);
   }
   if (fault::ShouldFail(fault::kMutateMergeCrash)) {
     return Status::Internal("injected crash after merging into " +
@@ -848,6 +854,7 @@ Status MutableCorpus::DoMerge() {
     merged.file = segment_file;
     merged.ids = std::move(ids);
     merged.rows = std::move(rows);
+    merged.panels = std::move(panels);
     sealed_.push_back(
         std::make_shared<const SealedSegment>(std::move(merged)));
   }

@@ -18,6 +18,11 @@ constexpr int64_t kMaxSegmentDim = int64_t{1} << 20;
 
 }  // namespace
 
+kernel::PackedB PackSegmentRows(const Tensor& rows) {
+  return kernel::PackB(rows.data(), rows.cols(), /*trans_b=*/true,
+                       rows.cols(), rows.rows());
+}
+
 std::string SegmentFileName(int64_t seq) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "seg-%08lld.adms",

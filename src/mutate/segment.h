@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "kernel/gemm.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -20,9 +21,17 @@ struct SealedSegment {
   std::string file;          // Basename within the corpus directory.
   std::vector<int64_t> ids;  // [n], ascending.
   Tensor rows;               // [n, dim] embeddings, row i belongs to ids[i].
+  /// `rows` transposed into GEMM column panels (PackSegmentRows), so a
+  /// query scores the segment with kernel::GemmPacked and never re-packs
+  /// it. Built with the rows — at seal, merge and recovery — before the
+  /// segment is published to readers.
+  kernel::PackedB panels;
 
   int64_t size() const { return static_cast<int64_t>(ids.size()); }
 };
+
+/// The GEMM operand of a segment's rows [n, dim]: op(B) = rows^T packed.
+kernel::PackedB PackSegmentRows(const Tensor& rows);
 
 /// "seg-<seq>.adms" for the monotonic per-corpus segment sequence number.
 std::string SegmentFileName(int64_t seq);

@@ -1,6 +1,6 @@
 // The scoring-backend registry and the built-in engines. Every engine
-// scores with kernel::DotAscending's chain (or kernel::Gemm, which has the
-// same per-element order) and ranks through kernel/topk.h, so each is
+// scores with kernel::DotAscending's chain (or the packed GEMM, which has
+// the same per-element order) and ranks through kernel/topk.h, so each is
 // bit-identical to the scalar reference (see DESIGN.md, "Backend
 // registry").
 
@@ -80,28 +80,30 @@ class ScalarBackend final : public ScoringBackend {
   Tensor items_;  // [N, D]
 };
 
-/// Exhaustive cosine kNN: one tiled GEMM of the query batch against every
-/// item, then per-query top-k over the kernel pool. Exact.
+/// Exhaustive cosine kNN: the items are packed into GEMM panels once, at
+/// construction; each batch is one GemmPacked sweep against them, then
+/// per-query top-k over the kernel pool. Exact.
 class ExhaustiveBackend final : public ScoringBackend {
  public:
-  explicit ExhaustiveBackend(Tensor items) : items_(std::move(items)) {}
+  explicit ExhaustiveBackend(const Tensor& items)
+      : items_(kernel::PackB(items.data(), items.cols(), /*trans_b=*/true,
+                             items.cols(), items.rows())) {}
 
   const char* name() const override { return "exhaustive"; }
-  int64_t size() const override { return items_.rows(); }
-  int64_t dim() const override { return items_.cols(); }
+  int64_t size() const override { return items_.n(); }
+  int64_t dim() const override { return items_.k(); }
 
  protected:
   StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t m = batch.queries.rows();
-    const int64_t d = items_.cols();
-    const int64_t n = items_.rows();
+    const int64_t n = items_.n();
     TopKResult out;
     Stopwatch watch;
     Tensor sims({m, n});
-    kernel::Gemm(batch.queries.data(), d, false, items_.data(), d, true, m,
-                 n, d, sims.data());
+    kernel::GemmPacked(batch.queries.data(), dim(), false, items_, m,
+                       sims.data());
     out.score_ms = watch.ElapsedMillis();
     watch.Restart();
     out.hits.resize(static_cast<size_t>(m));
@@ -117,7 +119,7 @@ class ExhaustiveBackend final : public ScoringBackend {
   }
 
  private:
-  Tensor items_;  // [N, D]
+  const kernel::PackedB items_;  // The [N, D] items, transposed into panels.
 };
 
 /// index::IvfIndex approximate search behind the backend seam. Owns the

@@ -132,8 +132,8 @@ Status ValidateItems(const Tensor& items) {
 
 }  // namespace
 
-RetrievalService::RetrievalService(Tensor items, const ServeConfig& config)
-    : config_(config), items_(std::move(items)) {
+RetrievalService::RetrievalService(const ServeConfig& config)
+    : config_(config) {
   admission_ = std::make_unique<AdmissionController>(config_.max_inflight,
                                                      config_.max_queue);
 }
@@ -142,11 +142,9 @@ StatusOr<std::unique_ptr<RetrievalService>> RetrievalService::Create(
     Tensor items, const ServeConfig& config) {
   ADAMINE_RETURN_IF_ERROR(config.Validate());
   ADAMINE_RETURN_IF_ERROR(ValidateItems(items));
-  std::unique_ptr<RetrievalService> service(
-      new RetrievalService(std::move(items), config));
-  // Tensor copies alias the buffer, so the backend shares the item rows.
+  std::unique_ptr<RetrievalService> service(new RetrievalService(config));
   BackendConfig backend_config;
-  backend_config.items = service->items_;
+  backend_config.items = std::move(items);
   backend_config.ivf = config.ivf;
   backend_config.rerank_factor = config.rerank_factor;
   backend_config.wal_dir = config.wal_dir;
@@ -358,35 +356,9 @@ RetrievalService::ScoreMicroBatch(const Tensor& queries, int64_t k,
 StatusOr<std::vector<std::vector<ScoredHit>>>
 RetrievalService::QueryBatchScored(const Tensor& queries, int64_t k,
                                    const QueryOptions& options) {
-  ADAMINE_CHECK_EQ(queries.ndim(), 2);
-  ADAMINE_CHECK_EQ(queries.cols(), dim());
-  ADAMINE_CHECK_GT(k, 0);
-  const TimePoint deadline = DeadlineOf(options);
-  const int64_t b = queries.rows();
-  const int64_t d = dim();
-  const int64_t current_probes =
-      options.probes > 0 ? options.probes : probes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.queries += b;
-  }
-  AdmissionTicket ticket(*admission_, deadline);
-  ADAMINE_RETURN_IF_ERROR(ticket.status());
-  std::vector<std::vector<ScoredHit>> results;
-  results.reserve(static_cast<size_t>(b));
-  for (int64_t start = 0; start < b; start += config_.micro_batch) {
-    const int64_t end = std::min(b, start + config_.micro_batch);
-    if (start > 0 && std::chrono::steady_clock::now() >= deadline) {
-      return DeadlineMiss("between micro-batches");
-    }
-    Tensor micro({end - start, d});
-    std::copy(queries.data() + start * d, queries.data() + end * d,
-              micro.data());
-    auto scored = ScoreMicroBatch(micro, k, current_probes, deadline);
-    if (!scored.ok()) return scored.status();
-    for (auto& row : scored.value()) results.push_back(std::move(row));
-  }
-  return results;
+  std::vector<std::vector<ScoredHit>> hits;
+  ADAMINE_RETURN_IF_ERROR(ServeRows(queries, k, options, nullptr, &hits));
+  return hits;
 }
 
 StatusOr<std::vector<int64_t>> RetrievalService::QueryWithOptions(
@@ -400,9 +372,19 @@ StatusOr<std::vector<int64_t>> RetrievalService::QueryWithOptions(
 StatusOr<std::vector<std::vector<int64_t>>>
 RetrievalService::QueryBatchWithOptions(const Tensor& queries, int64_t k,
                                         const QueryOptions& options) {
+  std::vector<std::vector<int64_t>> ids;
+  ADAMINE_RETURN_IF_ERROR(ServeRows(queries, k, options, &ids, nullptr));
+  return ids;
+}
+
+Status RetrievalService::ServeRows(const Tensor& queries, int64_t k,
+                                   const QueryOptions& options,
+                                   std::vector<std::vector<int64_t>>* ids,
+                                   std::vector<std::vector<ScoredHit>>* hits) {
   ADAMINE_CHECK_EQ(queries.ndim(), 2);
   ADAMINE_CHECK_EQ(queries.cols(), dim());
   ADAMINE_CHECK_GT(k, 0);
+  const bool cached = ids != nullptr;
   const TimePoint deadline = DeadlineOf(options);
   const int64_t b = queries.rows();
   const int64_t d = dim();
@@ -417,22 +399,28 @@ RetrievalService::QueryBatchWithOptions(const Tensor& queries, int64_t k,
     std::lock_guard<std::mutex> lock(mu_);
     stats_.queries += b;
   }
+  if (cached) {
+    ids->assign(static_cast<size_t>(b), {});
+  } else {
+    hits->assign(static_cast<size_t>(b), {});
+  }
   // One admission slot covers the whole request; it is taken lazily at the
   // first micro-batch that actually needs scoring, so cache-only requests
   // never contend for a slot.
   std::unique_ptr<AdmissionTicket> ticket;
-  std::vector<std::vector<int64_t>> results(static_cast<size_t>(b));
   for (int64_t start = 0; start < b; start += config_.micro_batch) {
     const int64_t end = std::min(b, start + config_.micro_batch);
     // Answer what the cache can; collect the misses for one shared GEMM.
     std::vector<int64_t> miss_rows;
     std::vector<std::string> miss_keys;
     for (int64_t i = start; i < end; ++i) {
-      std::string key =
-          CacheKey(queries.data() + i * d, k, current_probes);
-      if (CacheLookup(key, &results[static_cast<size_t>(i)])) continue;
+      if (cached) {
+        std::string key =
+            CacheKey(queries.data() + i * d, k, current_probes);
+        if (CacheLookup(key, &(*ids)[static_cast<size_t>(i)])) continue;
+        miss_keys.push_back(std::move(key));
+      }
       miss_rows.push_back(i);
-      miss_keys.push_back(std::move(key));
     }
     if (miss_rows.empty()) continue;
     if (!ticket) {
@@ -453,12 +441,17 @@ RetrievalService::QueryBatchWithOptions(const Tensor& queries, int64_t k,
     auto scored = ScoreMicroBatch(micro, k, current_probes, deadline);
     if (!scored.ok()) return scored.status();
     for (size_t r = 0; r < miss_rows.size(); ++r) {
-      std::vector<int64_t> ids = IdsOf(scored.value()[r]);
-      CacheInsert(miss_keys[r], ids);
-      results[static_cast<size_t>(miss_rows[r])] = std::move(ids);
+      const size_t row = static_cast<size_t>(miss_rows[r]);
+      if (!cached) {
+        (*hits)[row] = std::move(scored.value()[r]);
+        continue;
+      }
+      std::vector<int64_t> row_ids = IdsOf(scored.value()[r]);
+      CacheInsert(miss_keys[r], row_ids);
+      (*ids)[row] = std::move(row_ids);
     }
   }
-  return results;
+  return Status::Ok();
 }
 
 std::vector<int64_t> RetrievalService::Query(const Tensor& query, int64_t k) {

@@ -215,7 +215,7 @@ class RetrievalService {
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  RetrievalService(Tensor items, const ServeConfig& config);
+  explicit RetrievalService(const ServeConfig& config);
 
   /// Exact-match cache key: the raw query bytes, k, the probe dial, and
   /// the backend's mutation epoch — entries cached before an Add / Delete
@@ -238,11 +238,21 @@ class RetrievalService {
   StatusOr<std::vector<std::vector<ScoredHit>>> ScoreMicroBatch(
       const Tensor& queries, int64_t k, int64_t probes, TimePoint deadline);
 
+  /// The one request loop behind every query API: admission -> deadline
+  /// -> micro-batch -> ScoreMicroBatch. With `ids` set (QueryBatchWith-
+  /// Options), rows are answered from the cache where possible and each
+  /// row's ids land in (*ids)[row]; with `hits` set instead
+  /// (QueryBatchScored), the cache is bypassed and each row's scored hits
+  /// land in (*hits)[row]. Exactly one of the two is non-null.
+  Status ServeRows(const Tensor& queries, int64_t k,
+                   const QueryOptions& options,
+                   std::vector<std::vector<int64_t>>* ids,
+                   std::vector<std::vector<ScoredHit>>* hits);
+
   /// Marks a scoring-path deadline miss and returns kDeadlineExceeded.
   Status DeadlineMiss(const char* where);
 
   ServeConfig config_;
-  Tensor items_;  // [N, D]; the hosted backend shares this buffer.
   std::unique_ptr<ScoringBackend> backend_;  // Registry-created.
 
   std::unique_ptr<AdmissionController> admission_;

@@ -184,6 +184,87 @@ Tensor NaiveGemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   return c;
 }
 
+/// NaiveGemm over raw row-major buffers: op(A) is a [m, k] (or its [k, m]
+/// transpose), op(B) is b [k, n] (or its [n, k] transpose). Unlike Tensor,
+/// raw buffers can express k = 0.
+std::vector<float> NaiveGemm(const std::vector<float>& a, bool trans_a,
+                             const std::vector<float>& b, bool trans_b,
+                             int64_t m, int64_t n, int64_t k) {
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = trans_a ? a[p * m + i] : a[i * k + p];
+        const float bv = trans_b ? b[j * k + p] : b[p * n + j];
+        acc += av * bv;
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+std::vector<float> RandomBuffer(int64_t size, Rng& rng) {
+  // One spare element keeps data() dereferenceable when size is 0.
+  std::vector<float> v(static_cast<size_t>(size + 1));
+  for (float& x : v) x = static_cast<float>(rng.Normal());
+  return v;
+}
+
+TEST(GemmPackedTest, MatchesNaiveAndOneShotBitsAcrossShapesAndWidths) {
+  // m spans partial register tiles (1..5), partial and whole row chunks
+  // (31, 33, 64); n spans a lone column, ragged and exact panels, and
+  // many panel groups (1000); k = 0 is the empty chain. One packed operand
+  // per (k, n, trans_b) serves every m, trans_a and width.
+  const int64_t ms[] = {1, 2, 3, 4, 5, 31, 33, 64};
+  const int64_t ns[] = {1, 15, 16, 17, 1000};
+  const int64_t ks[] = {0, 1, 7, 128};
+  const int widths[] = {1, 2, 4};
+  Rng rng(11);
+  for (const int64_t k : ks) {
+    for (const int64_t n : ns) {
+      for (const bool trans_b : {false, true}) {
+        const std::vector<float> b = RandomBuffer(k * n, rng);
+        const int64_t ldb = trans_b ? k : n;
+        const kernel::PackedB packed = kernel::PackB(b.data(), ldb, trans_b,
+                                                     k, n);
+        ASSERT_EQ(packed.k(), k);
+        ASSERT_EQ(packed.n(), n);
+        ASSERT_EQ(packed.bytes(), static_cast<int64_t>(sizeof(float)) *
+                                      packed.num_panels() * k *
+                                      kernel::PackedB::kPanelWidth);
+        for (const int64_t m : ms) {
+          for (const bool trans_a : {false, true}) {
+            const std::vector<float> a = RandomBuffer(m * k, rng);
+            const int64_t lda = trans_a ? m : k;
+            const std::vector<float> want =
+                NaiveGemm(a, trans_a, b, trans_b, m, n, k);
+            for (const int width : widths) {
+              ThreadGuard guard(width);
+              std::vector<float> got(want.size(), -1.0f);
+              kernel::GemmPacked(a.data(), lda, trans_a, packed, m,
+                                 got.data());
+              std::vector<float> one_shot(want.size(), -1.0f);
+              kernel::Gemm(a.data(), lda, trans_a, b.data(), ldb, trans_b,
+                           m, n, k, one_shot.data());
+              const size_t bytes = want.size() * sizeof(float);
+              ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+                  << "GemmPacked m=" << m << " n=" << n << " k=" << k
+                  << " trans_a=" << trans_a << " trans_b=" << trans_b
+                  << " width=" << width;
+              ASSERT_EQ(std::memcmp(one_shot.data(), want.data(), bytes), 0)
+                  << "Gemm m=" << m << " n=" << n << " k=" << k
+                  << " trans_a=" << trans_a << " trans_b=" << trans_b
+                  << " width=" << width;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmTest, AllTransposeVariantsMatchNaiveBitsAtEveryWidth) {
   // Odd sizes exercise the partial register tiles and the zero-padded panel
   // tails of the packed kernel.

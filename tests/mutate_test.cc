@@ -11,9 +11,9 @@
 //     manifests, temp files).
 //  3. Corrupt or truncated WAL / segment / manifest files are rejected
 //     with a clean Status at every byte (flip + truncation sweeps).
-//  4. The "mutable" scoring backend is bit-identical to a freshly built
-//     exhaustive backend over the surviving rows — including after
-//     concurrent mutation, once quiesced and flushed.
+//  4. The "mutable" scoring backend is bit-identical to the scalar oracle
+//     over the surviving rows — after every seal, merge, recovery and
+//     quarantine, and after concurrent mutation once quiesced and flushed.
 //  5. The serving layer's result cache is epoch-keyed: a query cached
 //     before an Add can never serve the stale row set again.
 
@@ -946,20 +946,22 @@ TEST_F(AtomicWriteFsyncTest, DirectoryFsyncFailureIsSurfaced) {
 
 using MutableBackendTest = MutateTest;
 
-/// Exhaustive reference over the rows of `live_ids` (ascending), plus the
-/// id remap: exhaustive hit index i means global id live_ids[i].
-StatusOr<std::unique_ptr<serve::ScoringBackend>> ExhaustiveOver(
-    const Tensor& items) {
+/// Registry backend `name` over `items`.
+StatusOr<std::unique_ptr<serve::ScoringBackend>> BackendOver(
+    const std::string& name, const Tensor& items) {
   serve::BackendConfig config;
   config.items = items;
-  return serve::CreateBackend("exhaustive", config);
+  return serve::CreateBackend(name, config);
 }
 
+/// Diffs `mutable_backend` against the scalar oracle over `live_rows`, the
+/// rows of `live_ids` (ascending): oracle hit index i means global id
+/// live_ids[i].
 void ExpectBitIdentical(serve::ScoringBackend* mutable_backend,
                         const std::vector<int64_t>& live_ids,
                         const Tensor& live_rows, const Tensor& queries,
                         int64_t k) {
-  auto reference = ExhaustiveOver(live_rows);
+  auto reference = BackendOver("scalar", live_rows);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   serve::QueryBatch batch;
   batch.queries = queries;
@@ -993,7 +995,7 @@ TEST_F(MutableBackendTest, RegistrySeedsAFreshCorpusFromTheItems) {
 }
 
 TEST_F(MutableBackendTest, ImmutableBackendsRejectMutation) {
-  auto backend = ExhaustiveOver(ItemsForIds({0, 1}));
+  auto backend = BackendOver("exhaustive", ItemsForIds({0, 1}));
   ASSERT_TRUE(backend.ok());
   auto added = (*backend)->Add(RowTensor(9));
   ASSERT_FALSE(added.ok());
@@ -1070,6 +1072,74 @@ TEST_F(MutableBackendTest, PersistentWalDirSurvivesReopen) {
   auto result = (*backend)->ScoreTopK(batch, nullptr, 1, {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->hits[0][0].index, added_id);
+}
+
+TEST_F(MutableBackendTest, PackedSegmentsMatchScalarAfterEveryReshape) {
+  // Every sealed segment carries GEMM panels packed where its rows are
+  // built — at seal, at merge, at recovery load — and a quarantine drops
+  // whole segments. After each of those, scoring through the panels must
+  // equal the scalar oracle over the live rows, bit for bit. 40-row
+  // segments span two full panels and a ragged one; 5 queries span a full
+  // and a partial register tile.
+  std::vector<int64_t> seed;
+  for (int64_t id = 0; id < 40; ++id) seed.push_back(id);
+  serve::BackendConfig config;
+  config.items = ItemsForIds(seed);
+  config.wal_dir = dir_;
+  const Tensor queries = ItemsForIds({1000, 1001, 1002, 1003, 1004});
+  std::set<int64_t> live(seed.begin(), seed.end());
+  const auto expect_scalar = [&](serve::ScoringBackend* backend,
+                                 const char* stage) {
+    SCOPED_TRACE(stage);
+    const std::vector<int64_t> ids(live.begin(), live.end());
+    ExpectBitIdentical(backend, ids, ItemsForIds(ids), queries, 7);
+  };
+  {
+    auto backend = serve::CreateBackend("mutable", config);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    MutableCorpus* corpus =
+        static_cast<mutate::MutableBackend*>(backend->get())->corpus();
+    ASSERT_TRUE(corpus->Flush().ok());  // Seal the seed: ids 0..39.
+    ASSERT_TRUE((*backend)->Delete(5).ok());
+    live.erase(5);
+    expect_scalar(backend->get(), "seal");
+
+    for (int64_t id = 40; id < 80; ++id) {
+      ASSERT_TRUE((*backend)->Add(RowTensor(id)).ok());
+      live.insert(id);
+    }
+    ASSERT_TRUE(corpus->Flush().ok());
+    for (const int64_t id : {17, 41}) {
+      ASSERT_TRUE((*backend)->Delete(id).ok());
+      live.erase(id);
+    }
+    ASSERT_TRUE(corpus->Merge().ok());
+    EXPECT_EQ(corpus->GetStats().sealed_segments, 1);
+    expect_scalar(backend->get(), "merge");
+
+    for (int64_t id = 80; id < 100; ++id) {
+      ASSERT_TRUE((*backend)->Add(RowTensor(id)).ok());
+      live.insert(id);
+    }
+    ASSERT_TRUE(corpus->Flush().ok());
+  }
+
+  // Recovery loads both segments from disk and packs them before the
+  // first snapshot is published.
+  auto backend = serve::CreateBackend("mutable", config);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  MutableCorpus* corpus =
+      static_cast<mutate::MutableBackend*>(backend->get())->corpus();
+  EXPECT_EQ(corpus->GetStats().sealed_segments, 2);
+  expect_scalar(backend->get(), "recovery");
+
+  // Quarantine the first segment in scan order — the merged one — so only
+  // the ids 80..99 segment is left to score.
+  fault::Arm(fault::kMutateSegmentBitrot, /*skip=*/0, /*fire=*/1);
+  ASSERT_TRUE(corpus->Scrub().ok());
+  EXPECT_EQ(corpus->GetStats().quarantined_segments, 1);
+  live.erase(live.begin(), live.lower_bound(80));
+  expect_scalar(backend->get(), "quarantine");
 }
 
 // --- The serving layer: epoch-keyed cache, mutation forwarding ------------
@@ -1237,8 +1307,8 @@ TEST_F(MutateConcurrencyTest, ConcurrentMutateAndQueryThenBitIdentical) {
   for (auto& reader : readers) reader.join();
   ASSERT_EQ(failures.load(), 0);
 
-  // Quiesce, flush, and require bit-identity against a freshly built
-  // exhaustive index over the surviving rows.
+  // Quiesce, flush, and require bit-identity against the scalar oracle
+  // over the surviving rows.
   ASSERT_TRUE(backend.corpus()->Flush().ok());
   std::vector<int64_t> live_ids;
   Tensor live_rows(
@@ -1344,8 +1414,8 @@ TEST_F(MutateKill9Test, AckedMutationsSurviveKill9AtEveryBoundary) {
         << ": recovered state is not a prefix of the acked history "
         << "(live rows: " << live.size() << ")";
 
-    // Bit-identity of the recovered index: flush, then diff against a
-    // freshly built exhaustive backend over the surviving rows.
+    // Bit-identity of the recovered index: flush, then diff against the
+    // scalar oracle over the surviving rows.
     ASSERT_TRUE((*corpus)->Flush().ok());
     mutate::MutableBackend backend(std::move(corpus.value()), "");
     ExpectBitIdentical(&backend, live, ItemsForIds(live),
