@@ -4,64 +4,32 @@
 // serving contract: results are bit-identical to the scalar reference
 // paths at every thread count (see DESIGN.md, "Serving").
 //
-// With --overload the bench instead sweeps offered load (client threads)
-// against a deliberately under-provisioned service (admission queue of
-// depth 4, 2 slots, an armed serve.score.delay stall emulating expensive
-// scoring) and reports shed rate, deadline-miss rate and the adaptive
-// probe dial's trace per level, writing the rows to
-// BENCH_serving_overload.json (see DESIGN.md, "Overload behavior").
-//
-// With --rpc the bench drives a real TCP topology — shard servers behind
-// the wire protocol, dialled through ConnectShardedService — with an
-// open-loop Poisson arrival process (arrivals are scheduled up front from
-// a seeded exponential stream, so a slow server cannot slow the offered
-// load down: latency includes any time a request waited past its
-// scheduled arrival, the coordinated-omission-safe measurement). Sweeps
-// offered QPS healthy and with one shard server terminated mid-fleet,
-// and writes p50/p95/p99 rows to BENCH_serving_rpc.json (see DESIGN.md,
-// "Network serving").
-//
 // With --quant the bench sweeps the int8 two-stage backend against the
 // float exhaustive scan (memory footprint x QPS x recall across
 // rerank_factor), gates on full bit-identity plus the >= 3x scan-memory
 // reduction, and writes BENCH_serving_quant.json (see DESIGN.md,
 // "Quantized scoring").
 //
-// With --ingest the bench drives the "mutable" backend with a paced
-// open-loop ingest stream (WAL-acknowledged Adds) racing a paced open-loop
-// query stream while the background maintenance thread seals and merges,
-// sweeping ingest rate x compaction pressure (seal_threshold). Query
-// latency is measured from the scheduled arrival (coordinated-omission
-// safe), the read-only cell is the baseline, and the exit code gates the
-// worst active-ingest p95 within a budgeted multiple of it. Writes
-// BENCH_serving_ingest.json (see DESIGN.md, "Live mutation and crash
-// recovery").
+// End-to-end serving (sharded RPC fan-out, live ingest beside a writer)
+// is measured by perfbench/ (photo_search, live_ingest); overload,
+// shard-failure and ENOSPC behaviour are asserted by the test suite.
 
 #include <cstdio>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "index/ivf_index.h"
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
-#include "mutate/mutable_backend.h"
-#include "net/remote_transport.h"
 #include "quant/int8_corpus.h"
-#include "net/shard_server.h"
 #include "serve/retrieval_service.h"
-#include "serve/sharded_service.h"
 #include "tensor/ops.h"
-#include "util/fault.h"
-#include "util/percentile.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -279,595 +247,6 @@ int Run() {
   return bit_identical ? 0 : 1;
 }
 
-/// Offered-load sweep against an under-provisioned service: every scoring
-/// micro-batch is stalled (armed serve.score.delay, the same fault point
-/// the overload tests use) so a handful of clients is already more than
-/// capacity, and the admission queue + deadline + degradation machinery is
-/// what keeps latency bounded. Emits one table row and one JSON record per
-/// offered-load level.
-int RunOverload() {
-  constexpr int64_t kDelayMs = 4;       // Emulated per-batch scoring cost.
-  constexpr double kDeadlineMs = 40.0;  // Per-request budget.
-  constexpr int kRequestsPerClient = 40;
-  data::GeneratorConfig config;
-  config.num_recipes = 4000;
-  config.num_classes = 96;
-  config.seed = 42;
-  auto generator = data::RecipeGenerator::Create(config);
-  if (!generator.ok()) {
-    std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
-    return 1;
-  }
-  data::Dataset dataset = generator->Generate();
-  Tensor items({dataset.size(), dataset.image_dim});
-  for (int64_t i = 0; i < dataset.size(); ++i) {
-    const Tensor& img = dataset.recipes[static_cast<size_t>(i)].image;
-    std::copy(img.data(), img.data() + dataset.image_dim,
-              items.data() + i * dataset.image_dim);
-  }
-  items = L2NormalizeRows(items);
-  Tensor queries = SliceRows(items, 0, 64);
-
-  serve::ServeConfig serve_config;
-  serve_config.backend = serve::Backend::kIvf;
-  serve_config.ivf.num_lists = kNumLists;
-  serve_config.ivf.num_probes = 8;
-  serve_config.ivf.seed = 9;
-  serve_config.micro_batch = 1;
-  serve_config.cache_capacity = 0;  // Measure the serve path, not repeats.
-  serve_config.max_inflight = 2;
-  serve_config.max_queue = 4;
-  serve_config.degradation.target_ms = static_cast<double>(kDelayMs) + 1.0;
-  serve_config.degradation.min_probes = 1;
-  serve_config.degradation.window = 8;
-  auto service = serve::RetrievalService::Create(items, serve_config);
-  if (!service.ok()) {
-    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("== Overload sweep ==\n");
-  std::printf(
-      "(%lld items, ivf 8/%lld probes, %lld ms emulated batch cost, "
-      "%.0f ms deadline, %lld in flight + %lld queued)\n",
-      static_cast<long long>(items.rows()),
-      static_cast<long long>(kNumLists), static_cast<long long>(kDelayMs),
-      kDeadlineMs, static_cast<long long>(serve_config.max_inflight),
-      static_cast<long long>(serve_config.max_queue));
-
-  TablePrinter table({"clients", "offered", "ok", "shed%", "miss%", "QPS",
-                      "probes end", "dial", "health"});
-  std::string json = "[\n";
-  bool queue_bounded = true;
-  for (const int clients : {1, 2, 4, 8, 16}) {
-    // Each level starts healthy at full probes with fresh counters.
-    if (!(*service)->SetProbes(serve_config.ivf.num_probes).ok()) return 1;
-    (*service)->ResetStats();
-    fault::Arm(fault::kServeScoreDelay, /*skip=*/kDelayMs);
-    std::atomic<int64_t> ok_count{0};
-    std::atomic<int64_t> shed_count{0};
-    std::atomic<int64_t> miss_count{0};
-    // The probe dial's trace, sampled by client 0 after every request and
-    // compressed to its change points.
-    std::vector<int64_t> dial_trace;
-    Stopwatch watch;
-    std::vector<std::thread> workers;
-    for (int c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        for (int iter = 0; iter < kRequestsPerClient; ++iter) {
-          serve::QueryOptions options;
-          options.deadline_ms = kDeadlineMs;
-          const int64_t row =
-              (c * kRequestsPerClient + iter) % queries.rows();
-          Tensor q = RowOf(queries, row);
-          auto result = (*service)->QueryWithOptions(q, kTopK, options);
-          if (result.ok()) {
-            ok_count.fetch_add(1);
-          } else if (result.status().code() == StatusCode::kUnavailable) {
-            shed_count.fetch_add(1);
-          } else {
-            miss_count.fetch_add(1);
-          }
-          if (c == 0) {
-            const int64_t probes = (*service)->probes();
-            if (dial_trace.empty() || dial_trace.back() != probes) {
-              dial_trace.push_back(probes);
-            }
-          }
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    const double elapsed_s = watch.ElapsedSeconds();
-    fault::Reset();
-    const serve::ServeStats stats = (*service)->Snapshot();
-    if (stats.queue_peak > serve_config.max_queue) queue_bounded = false;
-    const int64_t offered = clients * kRequestsPerClient;
-    const double shed_rate =
-        100.0 * static_cast<double>(shed_count.load()) /
-        static_cast<double>(offered);
-    const double miss_rate =
-        100.0 * static_cast<double>(miss_count.load()) /
-        static_cast<double>(offered);
-    std::string dial;
-    for (size_t i = 0; i < dial_trace.size(); ++i) {
-      if (i > 0) dial += ">";
-      dial += std::to_string(dial_trace[i]);
-    }
-    table.AddRow({std::to_string(clients), std::to_string(offered),
-                  std::to_string(ok_count.load()),
-                  TablePrinter::Num(shed_rate, 1),
-                  TablePrinter::Num(miss_rate, 1),
-                  TablePrinter::Num(
-                      static_cast<double>(ok_count.load()) / elapsed_s, 0),
-                  std::to_string(stats.probes), dial,
-                  serve::HealthStateName(stats.health)});
-    char record[512];
-    std::snprintf(
-        record, sizeof(record),
-        "  {\"clients\": %d, \"offered\": %lld, \"ok\": %lld, "
-        "\"shed\": %lld, \"deadline_miss\": %lld, \"shed_rate\": %.4f, "
-        "\"miss_rate\": %.4f, \"qps\": %.1f, \"queue_peak\": %lld, "
-        "\"probes_end\": %lld, \"dial_downs\": %lld, \"dial_ups\": %lld, "
-        "\"dial_trace\": \"%s\", \"health\": \"%s\"}%s\n",
-        clients, static_cast<long long>(offered),
-        static_cast<long long>(ok_count.load()),
-        static_cast<long long>(shed_count.load()),
-        static_cast<long long>(miss_count.load()), shed_rate / 100.0,
-        miss_rate / 100.0,
-        static_cast<double>(ok_count.load()) / elapsed_s,
-        static_cast<long long>(stats.queue_peak),
-        static_cast<long long>(stats.probes),
-        static_cast<long long>(stats.probe_dial_downs),
-        static_cast<long long>(stats.probe_dial_ups), dial.c_str(),
-        serve::HealthStateName(stats.health), clients == 16 ? "" : ",");
-    json += record;
-  }
-  json += "]\n";
-  table.Print(std::cout);
-  std::printf("queue bounded by max_queue at every level: %s\n",
-              queue_bounded ? "yes" : "NO (BUG)");
-  std::ofstream out("BENCH_serving_overload.json");
-  out << json;
-  std::printf("wrote BENCH_serving_overload.json\n");
-  return queue_bounded ? 0 : 1;
-}
-
-/// Sharded fan-out/fan-in sweep: shard count x injected failure mode
-/// (healthy fleet / one replica of every shard killed / one whole shard
-/// down / a slow replica hedged around), reporting QPS, fan-out latency
-/// percentiles, coverage and the retry/hedge/breaker counters. The healthy
-/// rows double as a correctness gate: their merged results must be
-/// bit-identical to the unsharded exhaustive service. Writes one JSON
-/// record per row to BENCH_serving_shards.json (see DESIGN.md, "Sharded
-/// serving and failover").
-int RunShards() {
-  constexpr int kPasses = 3;
-  data::GeneratorConfig config;
-  config.num_recipes = 4000;
-  config.num_classes = 96;
-  config.seed = 42;
-  auto generator = data::RecipeGenerator::Create(config);
-  if (!generator.ok()) {
-    std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
-    return 1;
-  }
-  data::Dataset dataset = generator->Generate();
-  Tensor items({dataset.size(), dataset.image_dim});
-  for (int64_t i = 0; i < dataset.size(); ++i) {
-    const Tensor& img = dataset.recipes[static_cast<size_t>(i)].image;
-    std::copy(img.data(), img.data() + dataset.image_dim,
-              items.data() + i * dataset.image_dim);
-  }
-  items = L2NormalizeRows(items);
-  Tensor queries = SliceRows(items, 0, 128);
-  std::printf("== Sharded serving sweep ==\n");
-  std::printf("(%lld items of dim %lld, %lld queries/batch, top-%lld, "
-              "%d passes per level)\n",
-              static_cast<long long>(items.rows()),
-              static_cast<long long>(items.cols()),
-              static_cast<long long>(queries.rows()),
-              static_cast<long long>(kTopK), kPasses);
-
-  // The unsharded exhaustive answer every healthy configuration must
-  // reproduce bit for bit.
-  serve::ServeConfig flat_config;
-  flat_config.backend = serve::Backend::kExhaustive;
-  flat_config.cache_capacity = 0;
-  auto flat = serve::RetrievalService::Create(items, flat_config);
-  if (!flat.ok()) {
-    std::fprintf(stderr, "%s\n", flat.status().ToString().c_str());
-    return 1;
-  }
-  auto truth =
-      (*flat)->QueryBatchScored(queries, kTopK, serve::QueryOptions{});
-  if (!truth.ok()) {
-    std::fprintf(stderr, "%s\n", truth.status().ToString().c_str());
-    return 1;
-  }
-
-  struct Mode {
-    const char* name;
-    int64_t replicas;
-    bool kill_replica0;   // serve.shard.fail on replica 0 of every shard.
-    bool kill_shard0;     // serve.shard.fail on every replica of shard 0.
-    int64_t stall_ms;     // serve.shard.delay on replica 0 of every shard.
-    double hedge_ms;
-  };
-  const Mode modes[] = {
-      {"healthy", 1, false, false, 0, 0.0},
-      {"replica-killed", 2, true, false, 0, 0.0},
-      {"slow-replica+hedge", 2, false, false, 5, 1.0},
-      {"shard-down", 1, false, true, 0, 0.0},
-  };
-
-  TablePrinter table({"shards", "mode", "ok", "partial", "QPS", "p50 ms",
-                      "p95 ms", "coverage", "retries", "hedge f/w",
-                      "breaker opens"});
-  std::string json = "[\n";
-  bool first_record = true;
-  bool bit_identical = true;
-  for (const int64_t shards : {int64_t{1}, int64_t{2}, int64_t{4}}) {
-    for (const Mode& mode : modes) {
-      if (mode.kill_shard0 && shards == 1) continue;  // Nothing to degrade to.
-      serve::ShardedServeConfig sharded_config;
-      sharded_config.num_shards = shards;
-      sharded_config.num_replicas = mode.replicas;
-      sharded_config.shard.backend = serve::Backend::kExhaustive;
-      sharded_config.shard_timeout_ms = 50.0;
-      sharded_config.hedge_ms = mode.hedge_ms;
-      sharded_config.retry.backoff_base_ms = 0.5;
-      sharded_config.retry.backoff_max_ms = 2.0;
-      auto service =
-          serve::ShardedRetrievalService::Create(items, sharded_config);
-      if (!service.ok()) {
-        std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
-        return 1;
-      }
-      fault::Reset();
-      for (int64_t s = 0; s < shards; ++s) {
-        if (mode.kill_replica0) {
-          fault::Arm(fault::ShardReplicaPoint(fault::kServeShardFail, s, 0));
-        }
-        if (mode.stall_ms > 0) {
-          fault::Arm(fault::ShardReplicaPoint(fault::kServeShardDelay, s, 0),
-                     /*skip=*/mode.stall_ms);
-        }
-      }
-      if (mode.kill_shard0) {
-        for (int64_t r = 0; r < mode.replicas; ++r) {
-          fault::Arm(fault::ShardReplicaPoint(fault::kServeShardFail, 0, r));
-        }
-      }
-
-      int64_t ok_requests = 0;
-      int64_t partial_requests = 0;
-      (void)(*service)->QueryBatch(queries, kTopK);  // Warm-up.
-      (*service)->ResetStats();
-      Stopwatch watch;
-      for (int pass = 0; pass < kPasses; ++pass) {
-        auto got = (*service)->QueryBatch(queries, kTopK);
-        if (!got.ok()) continue;
-        ++ok_requests;
-        if (got->partial) ++partial_requests;
-        if (!got->partial && got->results != truth.value()) {
-          bit_identical = false;
-        }
-      }
-      const double elapsed_s = watch.ElapsedSeconds();
-      fault::Reset();
-      const serve::ShardedServeStats stats = (*service)->Snapshot();
-      const double qps =
-          elapsed_s > 0.0
-              ? static_cast<double>(ok_requests * queries.rows()) / elapsed_s
-              : 0.0;
-      table.AddRow(
-          {std::to_string(shards), mode.name, std::to_string(ok_requests),
-           std::to_string(partial_requests), TablePrinter::Num(qps, 0),
-           TablePrinter::Num(stats.fanout.PercentileMs(50), 3),
-           TablePrinter::Num(stats.fanout.PercentileMs(95), 3),
-           TablePrinter::Num(stats.coverage.mean(), 3),
-           std::to_string(stats.retries),
-           std::to_string(stats.hedges_fired) + "/" +
-               std::to_string(stats.hedges_won),
-           std::to_string(stats.breaker_opens)});
-      char record[512];
-      std::snprintf(
-          record, sizeof(record),
-          "%s  {\"shards\": %lld, \"replicas\": %lld, \"mode\": \"%s\", "
-          "\"ok\": %lld, \"partial\": %lld, \"failed\": %lld, "
-          "\"qps\": %.1f, \"fanout_p50_ms\": %.4f, \"fanout_p95_ms\": %.4f, "
-          "\"coverage_mean\": %.4f, \"retries\": %lld, "
-          "\"hedges_fired\": %lld, \"hedges_won\": %lld, "
-          "\"timeouts\": %lld, \"breaker_opens\": %lld}",
-          first_record ? "" : ",\n", static_cast<long long>(shards),
-          static_cast<long long>(mode.replicas), mode.name,
-          static_cast<long long>(ok_requests),
-          static_cast<long long>(partial_requests),
-          static_cast<long long>(stats.failed), qps,
-          stats.fanout.PercentileMs(50), stats.fanout.PercentileMs(95),
-          stats.coverage.mean(), static_cast<long long>(stats.retries),
-          static_cast<long long>(stats.hedges_fired),
-          static_cast<long long>(stats.hedges_won),
-          static_cast<long long>(stats.timeouts),
-          static_cast<long long>(stats.breaker_opens));
-      json += record;
-      first_record = false;
-    }
-  }
-  json += "\n]\n";
-  table.Print(std::cout);
-  std::printf("healthy rows bit-identical to the unsharded service: %s\n",
-              bit_identical ? "yes" : "NO (BUG)");
-  std::ofstream out("BENCH_serving_shards.json");
-  out << json;
-  std::printf("wrote BENCH_serving_shards.json\n");
-  return bit_identical ? 0 : 1;
-}
-
-/// Nearest-rank percentile over an ascending latency sample — an observed
-/// value, never an interpolated one (util/percentile.h; the old local
-/// interpolation reported p95 = 95.05 on {1..100}, a latency no request
-/// ever saw).
-double SortedPercentile(const std::vector<double>& v, double p) {
-  return util::SortedPercentile(v, p);
-}
-
-/// Open-loop RPC sweep: a real multi-server TCP topology (three
-/// net::ShardServers over contiguous corpus slices, dialled through
-/// ConnectShardedService) under a Poisson arrival process, healthy and
-/// with one server Terminate()d mid-fleet. Open loop means the arrival
-/// schedule is fixed before the level starts — a deterministic seeded
-/// exponential stream — and a request's latency is measured from its
-/// *scheduled* arrival, so queueing behind a slow fleet is charged to the
-/// fleet, not hidden by a stalled client (no coordinated omission).
-///
-/// Two gates decide the exit code: the healthy topology must answer a
-/// full query batch bit-identically to the unsharded exhaustive service
-/// (the wire is invisible in the results), and the killed mode must
-/// degrade — partial results with honest coverage, zero failed requests,
-/// never a crash or hang.
-int RunRpc() {
-  constexpr int64_t kShards = 3;
-  constexpr int kClientThreads = 8;
-  constexpr double kDeadlineMs = 250.0;
-  constexpr double kLevelSeconds = 1.0;
-  data::GeneratorConfig config;
-  config.num_recipes = 4000;
-  config.num_classes = 96;
-  config.seed = 42;
-  auto generator = data::RecipeGenerator::Create(config);
-  if (!generator.ok()) {
-    std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
-    return 1;
-  }
-  data::Dataset dataset = generator->Generate();
-  Tensor items({dataset.size(), dataset.image_dim});
-  for (int64_t i = 0; i < dataset.size(); ++i) {
-    const Tensor& img = dataset.recipes[static_cast<size_t>(i)].image;
-    std::copy(img.data(), img.data() + dataset.image_dim,
-              items.data() + i * dataset.image_dim);
-  }
-  items = L2NormalizeRows(items);
-  Tensor queries = SliceRows(items, 0, 64);
-
-  // The unsharded exhaustive answer the healthy remote topology must
-  // reproduce bit for bit.
-  serve::ServeConfig flat_config;
-  flat_config.backend = serve::Backend::kExhaustive;
-  flat_config.cache_capacity = 0;
-  auto flat = serve::RetrievalService::Create(items, flat_config);
-  if (!flat.ok()) {
-    std::fprintf(stderr, "%s\n", flat.status().ToString().c_str());
-    return 1;
-  }
-  auto truth =
-      (*flat)->QueryBatchScored(queries, kTopK, serve::QueryOptions{});
-  if (!truth.ok()) {
-    std::fprintf(stderr, "%s\n", truth.status().ToString().c_str());
-    return 1;
-  }
-
-  // Three real TCP servers, one per contiguous corpus slice.
-  std::vector<std::shared_ptr<serve::RetrievalService>> shard_services;
-  std::vector<std::unique_ptr<net::ShardServer>> servers;
-  std::vector<std::string> endpoints;
-  const int64_t chunk = (items.rows() + kShards - 1) / kShards;
-  for (int64_t s = 0; s < kShards; ++s) {
-    const int64_t lo = s * chunk;
-    const int64_t hi = std::min(lo + chunk, items.rows());
-    serve::ServeConfig shard_config;
-    shard_config.backend = serve::Backend::kExhaustive;
-    shard_config.cache_capacity = 0;
-    auto service =
-        serve::RetrievalService::Create(SliceRows(items, lo, hi),
-                                        shard_config);
-    if (!service.ok()) {
-      std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
-      return 1;
-    }
-    shard_services.push_back(std::move(service).value());
-    servers.push_back(std::make_unique<net::ShardServer>());
-    const Status started = servers.back()->Start(shard_services.back(),
-                                                 net::ShardServerConfig());
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
-    endpoints.push_back("127.0.0.1:" +
-                        std::to_string(servers.back()->port()));
-  }
-
-  serve::ShardedServeConfig sharded_config;
-  sharded_config.shard_timeout_ms = 200.0;
-  sharded_config.retry.retry_max = 1;
-  sharded_config.retry.backoff_base_ms = 0.5;
-  sharded_config.retry.backoff_max_ms = 2.0;
-  sharded_config.breaker.failure_threshold = 2;
-  sharded_config.breaker.open_ms = 200.0;
-  auto remote = net::ConnectShardedService(endpoints, sharded_config);
-  if (!remote.ok()) {
-    std::fprintf(stderr, "%s\n", remote.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("== RPC serving sweep (open loop) ==\n");
-  std::printf(
-      "(%lld items over %lld TCP shard servers, top-%lld, %.0f ms "
-      "deadline, %d client threads, %.0fs Poisson arrivals per level)\n",
-      static_cast<long long>(items.rows()),
-      static_cast<long long>(kShards), static_cast<long long>(kTopK),
-      kDeadlineMs, kClientThreads, kLevelSeconds);
-
-  // Gate 1, before anything is killed: the wire must be invisible.
-  bool bit_identical = true;
-  {
-    auto batch = (*remote)->QueryBatch(queries, kTopK);
-    if (!batch.ok() || batch->partial ||
-        batch->results != truth.value()) {
-      bit_identical = false;
-    }
-  }
-
-  TablePrinter table({"mode", "offered", "ok", "partial", "failed",
-                      "achieved", "p50 ms", "p95 ms", "p99 ms",
-                      "coverage", "breaker opens"});
-  std::string json = "[\n";
-  bool first_record = true;
-  int64_t killed_partial = 0;
-  int64_t killed_failed = 0;
-  for (const bool killed : {false, true}) {
-    if (killed) {
-      // kill -9's in-process twin: RST every connection, close the
-      // listener, flush nothing. The fleet must degrade, not fail.
-      servers[1]->Terminate();
-    }
-    for (const int offered : {250, 500, 1000, 2000}) {
-      const int64_t requests =
-          static_cast<int64_t>(offered * kLevelSeconds);
-      // The whole arrival schedule is drawn up front (open loop): request
-      // i fires at start + arrival_us[i] no matter how the fleet is doing.
-      Rng rng(1234 + static_cast<uint64_t>(offered) * 7 + (killed ? 1 : 0));
-      const double mean_gap_us = 1e6 / static_cast<double>(offered);
-      std::vector<int64_t> arrival_us(static_cast<size_t>(requests));
-      double at = 0.0;
-      for (int64_t i = 0; i < requests; ++i) {
-        at += -std::log(1.0 - rng.Uniform()) * mean_gap_us;
-        arrival_us[static_cast<size_t>(i)] =
-            static_cast<int64_t>(std::llround(at));
-      }
-      (*remote)->ResetStats();
-      std::vector<std::vector<double>> latencies(kClientThreads);
-      std::vector<int64_t> ok_counts(kClientThreads, 0);
-      std::vector<int64_t> partial_counts(kClientThreads, 0);
-      std::vector<int64_t> failed_counts(kClientThreads, 0);
-      std::vector<double> coverage_sums(kClientThreads, 0.0);
-      const auto start =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-      std::vector<std::thread> clients;
-      for (int t = 0; t < kClientThreads; ++t) {
-        clients.emplace_back([&, t] {
-          for (int64_t i = t; i < requests; i += kClientThreads) {
-            const auto scheduled =
-                start + std::chrono::microseconds(
-                            arrival_us[static_cast<size_t>(i)]);
-            std::this_thread::sleep_until(scheduled);
-            const int64_t row = i % queries.rows();
-            Tensor q = SliceRows(queries, row, row + 1);
-            serve::QueryOptions options;
-            options.deadline_ms = kDeadlineMs;
-            auto result =
-                (*remote)->QueryBatchWithOptions(q, kTopK, options);
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - scheduled)
-                    .count();
-            latencies[static_cast<size_t>(t)].push_back(ms);
-            if (!result.ok()) {
-              ++failed_counts[static_cast<size_t>(t)];
-            } else {
-              coverage_sums[static_cast<size_t>(t)] += result->coverage;
-              if (result->partial) {
-                ++partial_counts[static_cast<size_t>(t)];
-              } else {
-                ++ok_counts[static_cast<size_t>(t)];
-              }
-            }
-          }
-        });
-      }
-      for (auto& c : clients) c.join();
-      const double elapsed_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      std::vector<double> all;
-      int64_t ok = 0, partial = 0, failed = 0;
-      double coverage_sum = 0.0;
-      for (int t = 0; t < kClientThreads; ++t) {
-        all.insert(all.end(), latencies[static_cast<size_t>(t)].begin(),
-                   latencies[static_cast<size_t>(t)].end());
-        ok += ok_counts[static_cast<size_t>(t)];
-        partial += partial_counts[static_cast<size_t>(t)];
-        failed += failed_counts[static_cast<size_t>(t)];
-        coverage_sum += coverage_sums[static_cast<size_t>(t)];
-      }
-      std::sort(all.begin(), all.end());
-      const int64_t answered = ok + partial;
-      const double coverage_mean =
-          answered > 0 ? coverage_sum / static_cast<double>(answered) : 0.0;
-      const double achieved =
-          elapsed_s > 0.0 ? static_cast<double>(answered) / elapsed_s : 0.0;
-      if (killed) {
-        killed_partial += partial;
-        killed_failed += failed;
-      }
-      const serve::ShardedServeStats stats = (*remote)->Snapshot();
-      const char* mode = killed ? "shard-killed" : "healthy";
-      table.AddRow(
-          {mode, std::to_string(offered), std::to_string(ok),
-           std::to_string(partial), std::to_string(failed),
-           TablePrinter::Num(achieved, 0),
-           TablePrinter::Num(SortedPercentile(all, 50), 3),
-           TablePrinter::Num(SortedPercentile(all, 95), 3),
-           TablePrinter::Num(SortedPercentile(all, 99), 3),
-           TablePrinter::Num(coverage_mean, 3),
-           std::to_string(stats.breaker_opens)});
-      char record[512];
-      std::snprintf(
-          record, sizeof(record),
-          "%s  {\"mode\": \"%s\", \"offered_qps\": %d, "
-          "\"requests\": %lld, \"ok\": %lld, \"partial\": %lld, "
-          "\"failed\": %lld, \"achieved_qps\": %.1f, \"p50_ms\": %.4f, "
-          "\"p95_ms\": %.4f, \"p99_ms\": %.4f, \"max_ms\": %.4f, "
-          "\"coverage_mean\": %.4f, \"retries\": %lld, "
-          "\"timeouts\": %lld, \"breaker_opens\": %lld}",
-          first_record ? "" : ",\n", mode, offered,
-          static_cast<long long>(requests), static_cast<long long>(ok),
-          static_cast<long long>(partial), static_cast<long long>(failed),
-          achieved, SortedPercentile(all, 50), SortedPercentile(all, 95),
-          SortedPercentile(all, 99), all.empty() ? 0.0 : all.back(),
-          coverage_mean, static_cast<long long>(stats.retries),
-          static_cast<long long>(stats.timeouts),
-          static_cast<long long>(stats.breaker_opens));
-      json += record;
-      first_record = false;
-    }
-  }
-  json += "\n]\n";
-  table.Print(std::cout);
-  const bool degraded_cleanly = killed_partial > 0 && killed_failed == 0;
-  std::printf("healthy RPC answers bit-identical to the unsharded "
-              "service: %s\n",
-              bit_identical ? "yes" : "NO (BUG)");
-  std::printf("killed mode degraded to partial coverage without a failed "
-              "request: %s\n",
-              degraded_cleanly ? "yes" : "NO (BUG)");
-  std::ofstream out("BENCH_serving_rpc.json");
-  out << json;
-  std::printf("wrote BENCH_serving_rpc.json\n");
-  for (auto& server : servers) server->Stop();
-  return bit_identical && degraded_cleanly ? 0 : 1;
-}
-
 /// Quantized-scoring sweep: memory footprint x QPS x recall for the int8
 /// two-stage backend against the float exhaustive scan, straight through
 /// the ScoringBackend seam (no service, no cache — pure scoring). Because
@@ -1013,278 +392,14 @@ int RunQuant() {
   return bit_identical && mem_ok && qps_ok ? 0 : 1;
 }
 
-/// Ingest-while-serving sweep over the "mutable" backend: a paced
-/// open-loop Add stream (batches of kIngestBatch rows, one WAL sync each)
-/// races a paced open-loop query stream while background maintenance
-/// seals and merges underneath both. Latencies are measured from each
-/// query's *scheduled* arrival, so a seal or merge that stalls the scorer
-/// shows up as queue delay instead of silently thinning the offered load.
-/// The 0-rows/s cell is the read-only baseline; the exit code gates every
-/// active cell's p95 within kIngestP95Budget x that baseline (plus a
-/// small absolute floor so a microsecond-level baseline cannot make the
-/// gate flaky).
-int RunIngest() {
-  constexpr int64_t kRows = 20000;
-  constexpr int64_t kDim = 128;
-  constexpr int64_t kBatch = 16;       // Query rows per micro-batch.
-  constexpr int64_t kQueryBatches = 120;
-  constexpr double kQueryIntervalMs = 25.0;
-  constexpr int64_t kIngestBatch = 8;  // Rows per acknowledged Add batch.
-  // One scoring thread: the ingest stream, the background seal/merge
-  // thread and the scorer already contend for the machine, and the bench
-  // measures that contention rather than hiding it behind parallelism.
-  constexpr int kThreads = 1;
-  // Gate: every active cell's p95 within this multiple of the read-only
-  // baseline, with an absolute floor so a lucky-fast baseline on a noisy
-  // shared machine cannot flake the gate. Compaction churn legitimately
-  // costs a few x on one core; a seal or merge that blocked queries on the
-  // corpus lock would cost hundreds of x and still trip this.
-  constexpr double kIngestP95Budget = 15.0;  // x read-only p95.
-  constexpr double kIngestP95FloorMs = 50.0;
-
-  Rng rng(4321);
-  Tensor items = L2NormalizeRows(Tensor::Randn({kRows, kDim}, rng));
-  Tensor queries = SliceRows(items, 0, kBatch * 8);
-  // The ingest stream: fresh unit rows, pre-generated so pacing measures
-  // the backend, not the generator.
-  const int64_t max_ingest_rows =
-      static_cast<int64_t>(12000.0 * kQueryBatches * kQueryIntervalMs / 1e3);
-  Tensor fresh = L2NormalizeRows(Tensor::Randn({max_ingest_rows, kDim}, rng));
-
-  std::printf("== Ingest-while-serving (mutable backend) ==\n");
-  std::printf("(%lld seeded items of dim %lld, %lld-row query batches "
-              "every %.0f ms, %lld-row ingest batches, %d threads)\n",
-              static_cast<long long>(kRows), static_cast<long long>(kDim),
-              static_cast<long long>(kBatch), kQueryIntervalMs,
-              static_cast<long long>(kIngestBatch), kThreads);
-  kernel::SetNumThreads(kThreads);
-
-  struct Cell {
-    int64_t seal_threshold;
-    double ingest_rate;  // Rows/s; 0 = the read-only baseline.
-    bool enospc_window = false;  // Inject a transient WAL ENOSPC outage.
-  };
-  const std::vector<Cell> cells = {
-      {4096, 0.0},     // Baseline: no mutation, no compaction.
-      {4096, 1000.0},  // Gentle: seals every ~4 s of ingest.
-      {4096, 3000.0},
-      {512, 1000.0},   // Compaction pressure: constant seal + merge churn.
-      {512, 3000.0},
-      // Disk-full window mid-run: the WAL sheds kResourceExhausted, the
-      // ingester backs off and resumes once "space" returns, and the cell
-      // still has to hold the query p95 gate with ZERO acked rows lost.
-      {512, 1000.0, true},
-  };
-
-  TablePrinter table({"seal_thresh", "ingest rows/s", "acked rows/s",
-                      "query p50 ms", "p95 ms", "p99 ms", "seals",
-                      "merges", "sheds"});
-  std::string json = "[\n";
-  char record[512];
-  double baseline_p95 = 0.0;
-  double worst_active_p95 = 0.0;
-  bool ingest_ok = true;
-  for (size_t c = 0; c < cells.size(); ++c) {
-    const Cell& cell = cells[c];
-    serve::BackendConfig backend_config;
-    backend_config.items = items;
-    backend_config.seal_threshold = cell.seal_threshold;
-    auto backend = serve::CreateBackend("mutable", backend_config);
-    if (!backend.ok()) {
-      std::fprintf(stderr, "%s\n", backend.status().ToString().c_str());
-      return 1;
-    }
-
-    {
-      // Start every cell from the sealed steady state (seeded rows in a
-      // segment, empty memtable) and warm the scorer off the measured
-      // clock, so cell-to-cell differences are ingest interference, not
-      // seeding leftovers.
-      auto* mutable_backend =
-          static_cast<mutate::MutableBackend*>(backend->get());
-      const Status flushed = mutable_backend->corpus()->Flush();
-      ADAMINE_CHECK_MSG(flushed.ok(), flushed.ToString());
-      Tensor warm({kBatch, kDim});
-      std::copy(queries.data(), queries.data() + kBatch * kDim, warm.data());
-      auto warmed = (*backend)->ScoreTopK(serve::QueryBatch{warm},
-                                          /*filter=*/nullptr, kTopK, {});
-      ADAMINE_CHECK_MSG(warmed.ok(), warmed.status().ToString());
-    }
-
-    if (cell.enospc_window) {
-      // A bounded disk-full outage: after ~3 acknowledged batches (the
-      // skip budget; each kIngestBatch-row batch is kIngestBatch append
-      // hits), the next 12 WAL appends fail with kResourceExhausted, then
-      // the point exhausts itself — space "returns" — and acks resume.
-      // Seal-path re-log appends may consume some of the budget too; the
-      // invariants below hold wherever the window lands.
-      fault::Arm(fault::kMutateWalEnospc, /*skip=*/3 * kIngestBatch,
-                 /*fire=*/12);
-    }
-
-    std::atomic<bool> stop{false};
-    std::atomic<int64_t> acked_rows{0};
-    std::atomic<int64_t> shed_batches{0};
-    std::atomic<bool> ingest_failed{false};
-    std::thread ingester;
-    const auto start = std::chrono::steady_clock::now();
-    if (cell.ingest_rate > 0.0) {
-      ingester = std::thread([&] {
-        const double interval_ms =
-            1e3 * static_cast<double>(kIngestBatch) / cell.ingest_rate;
-        int64_t offset = 0;
-        for (int64_t tick = 0; !stop.load(); ++tick) {
-          const auto arrival =
-              start + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double, std::milli>(
-                              tick * interval_ms));
-          std::this_thread::sleep_until(arrival);
-          if (stop.load()) return;
-          if (offset + kIngestBatch > fresh.rows()) return;
-          Tensor rows({kIngestBatch, kDim});
-          std::copy(fresh.data() + offset * kDim,
-                    fresh.data() + (offset + kIngestBatch) * kDim,
-                    rows.data());
-          offset += kIngestBatch;
-          auto* mutable_backend =
-              static_cast<mutate::MutableBackend*>(backend->get());
-          const auto added = mutable_backend->corpus()->AddBatch(rows);
-          if (!added.ok()) {
-            // Backpressure (the ENOSPC window, a memtable budget) is the
-            // shed-not-fail contract: nothing was acknowledged, the batch
-            // rolls back, and the stream keeps pacing. Anything else is a
-            // real failure.
-            if (added.status().IsTransient()) {
-              shed_batches.fetch_add(1);
-              continue;
-            }
-            ingest_failed.store(true);
-            return;
-          }
-          acked_rows.fetch_add(kIngestBatch);
-        }
-      });
-    }
-
-    std::vector<double> latencies;
-    latencies.reserve(static_cast<size_t>(kQueryBatches));
-    for (int64_t b = 0; b < kQueryBatches; ++b) {
-      const auto arrival =
-          start + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          b * kQueryIntervalMs));
-      std::this_thread::sleep_until(arrival);
-      Tensor micro({kBatch, kDim});
-      const int64_t q0 = (b * kBatch) % queries.rows();
-      std::copy(queries.data() + q0 * kDim,
-                queries.data() + (q0 + kBatch) * kDim, micro.data());
-      auto result = (*backend)->ScoreTopK(serve::QueryBatch{micro},
-                                          /*filter=*/nullptr, kTopK, {});
-      ADAMINE_CHECK_MSG(result.ok(), result.status().ToString());
-      const auto done = std::chrono::steady_clock::now();
-      latencies.push_back(
-          std::chrono::duration<double, std::milli>(done - arrival).count());
-    }
-    stop.store(true);
-    if (ingester.joinable()) ingester.join();
-    fault::Reset();
-    const double elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    if (ingest_failed.load()) {
-      std::fprintf(stderr, "ingest stream failed\n");
-      return 1;
-    }
-    // Zero-acked-loss invariant: every row the ingester was acked for is
-    // live in the corpus (no deletes in this bench), and shed batches
-    // contributed nothing. Holds for every cell; the ENOSPC cell is the
-    // one that earns it.
-    const int64_t live = (*backend)->size();
-    if (live != kRows + acked_rows.load()) {
-      std::fprintf(stderr,
-                   "acked-row accounting broken: %lld live, expected "
-                   "%lld seeded + %lld acked\n",
-                   static_cast<long long>(live),
-                   static_cast<long long>(kRows),
-                   static_cast<long long>(acked_rows.load()));
-      return 1;
-    }
-    if (cell.enospc_window && shed_batches.load() == 0) {
-      std::fprintf(stderr,
-                   "ENOSPC window cell observed no sheds; the fault never "
-                   "fired\n");
-      return 1;
-    }
-
-    std::sort(latencies.begin(), latencies.end());
-    const double p50 = SortedPercentile(latencies, 50);
-    const double p95 = SortedPercentile(latencies, 95);
-    const double p99 = SortedPercentile(latencies, 99);
-    const double acked_rate =
-        static_cast<double>(acked_rows.load()) / elapsed_s;
-    const auto stats = static_cast<mutate::MutableBackend*>(backend->get())
-                           ->corpus()
-                           ->GetStats();
-    if (cell.ingest_rate == 0.0) {
-      baseline_p95 = p95;
-    } else {
-      worst_active_p95 = std::max(worst_active_p95, p95);
-      if (p95 > std::max(kIngestP95Budget * baseline_p95,
-                         kIngestP95FloorMs)) {
-        ingest_ok = false;
-      }
-    }
-    table.AddRow({std::to_string(cell.seal_threshold),
-                  TablePrinter::Num(cell.ingest_rate, 0),
-                  TablePrinter::Num(acked_rate, 0),
-                  TablePrinter::Num(p50, 3), TablePrinter::Num(p95, 3),
-                  TablePrinter::Num(p99, 3), std::to_string(stats.seals),
-                  std::to_string(stats.merges),
-                  std::to_string(shed_batches.load())});
-    std::snprintf(
-        record, sizeof(record),
-        "%s  {\"seal_threshold\": %lld, \"ingest_rate_target\": %.0f, "
-        "\"ingest_rate_acked\": %.0f, \"query_p50_ms\": %.4f, "
-        "\"query_p95_ms\": %.4f, \"query_p99_ms\": %.4f, "
-        "\"seals\": %lld, \"merges\": %lld, \"live_rows\": %lld, "
-        "\"enospc_window\": %s, \"shed_batches\": %lld, "
-        "\"wal_transients\": %lld}",
-        c == 0 ? "" : ",\n",
-        static_cast<long long>(cell.seal_threshold), cell.ingest_rate,
-        acked_rate, p50, p95, p99, static_cast<long long>(stats.seals),
-        static_cast<long long>(stats.merges),
-        static_cast<long long>((*backend)->size()),
-        cell.enospc_window ? "true" : "false",
-        static_cast<long long>(shed_batches.load()),
-        static_cast<long long>(stats.wal_transient_failures));
-    json += record;
-  }
-  kernel::SetNumThreads(1);
-  json += "\n]\n";
-  table.Print(std::cout);
-  std::printf("read-only p95 %.3f ms; worst active-ingest p95 %.3f ms "
-              "(gate: <= max(%.0fx baseline, %.1f ms)): %s\n",
-              baseline_p95, worst_active_p95, kIngestP95Budget,
-              kIngestP95FloorMs, ingest_ok ? "ok" : "FAIL");
-  std::ofstream out("BENCH_serving_ingest.json");
-  out << json;
-  std::printf("wrote BENCH_serving_ingest.json\n");
-  return ingest_ok ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace adamine
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--overload") return adamine::RunOverload();
-    if (std::string(argv[i]) == "--shards") return adamine::RunShards();
-    if (std::string(argv[i]) == "--rpc") return adamine::RunRpc();
-    if (std::string(argv[i]) == "--quant") return adamine::RunQuant();
-    if (std::string(argv[i]) == "--ingest") return adamine::RunIngest();
+  if (argc == 1) return adamine::Run();
+  if (argc == 2 && std::string(argv[1]) == "--quant") {
+    return adamine::RunQuant();
   }
-  return adamine::Run();
+  std::fprintf(stderr, "usage: %s [--quant]\n", argv[0]);
+  return 2;
 }

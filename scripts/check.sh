@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # One-command verification: plain tier-1 build + full test suite + the
-# registry-driven golden-diff harness, then the full suite under
+# registry-driven golden-diff harness, the serving benchmark's build and a
+# 2 s correctness run of its gated workloads, then the full suite under
 # AddressSanitizer and UndefinedBehaviorSanitizer, then the same golden
 # harness (plus the focused concurrency suites) under ThreadSanitizer. This
 # is the flow CI runs; a clean exit here means the tree is shippable.
 #
-#   scripts/check.sh          # everything (plain + asan + ubsan + tsan)
-#   scripts/check.sh --fast   # plain build + tests only, skip the sanitizers
+#   scripts/check.sh          # everything (plain + perfbench + sanitizers)
+#   scripts/check.sh --fast   # plain build + tests + the perfbench build only
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,10 +51,38 @@ for threads in 1 4; do
     ctest --test-dir build -L 'golden|quant' --output-on-failure
 done
 
+# The serving benchmark (perfbench/) builds the library from src/ in its
+# own tree, the same way perfbench/run.py does, so a src/ change that
+# breaks the benchmark's build fails here too.
+bench_dir="${CARGO_TARGET_DIR:-.bench_build}/perfbench"
+echo "== perfbench: build serve_bench =="
+if [[ ! -f "$bench_dir/CMakeCache.txt" ]]; then
+  cmake -S perfbench -B "$bench_dir" -DCMAKE_BUILD_TYPE=Release
+fi
+cmake --build "$bench_dir" --target serve_bench -j "$(nproc)"
+
 if [[ "$FAST" == "1" ]]; then
-  echo "check.sh: OK (fast mode, sanitizer passes skipped)"
+  echo "check.sh: OK (fast mode, perfbench runs and sanitizer passes skipped)"
   exit 0
 fi
+
+# A short run of each gated workload. run.py exits 0 on a wrong answer
+# (it only checks the result's shape), so the verdict is read from the
+# result line: every answer matched scalar and no operation failed.
+for workload in photo_search live_ingest; do
+  echo "== perfbench: $workload smoke run (2 s) =="
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+              --seconds 2 --trace 0 | tail -n 1)"
+  echo "$result"
+  if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' "$result"; then
+    echo "perfbench $workload: wrong answers or failed operations" >&2
+    exit 1
+  fi
+done
 
 # Memory errors and undefined behaviour anywhere in the tree: the whole
 # suite, decoders' hostile-input sweeps included, under each sanitizer.

@@ -660,8 +660,8 @@ Status MutableCorpus::DoSeal() {
   // once MANIFEST-(N+1) might exist on disk no ack may enter wal-N, and an
   // ack into wal-(N+1) before the manifest is durable could be lost to a
   // fallback recovery — so appends MUST stall here. Every Add/Delete and
-  // snapshot() eats a few fsync latencies per seal; the ingest bench
-  // (BENCH_serving_ingest.json) gates the p95 this produces.
+  // snapshot() eats a few fsync latencies per seal; perfbench's
+  // live_ingest workload measures the read latency this produces.
   for (size_t i = frozen_pending; i < pending_.size(); ++i) {
     ADAMINE_RETURN_IF_ERROR(
         writer.value()->Append(pending_[i], /*sync=*/false));

@@ -53,10 +53,13 @@ double StageStats::PercentileMs(double p) const {
   // Smallest bucket whose cumulative count covers the percentile.
   const double target = p / 100.0 * static_cast<double>(count);
   int64_t cumulative = 0;
-  for (int b = 0; b < kBuckets; ++b) {
+  // The bucket's upper bound can lie above every observation (a stage whose
+  // samples all sit in [4.1, 5.2] ms would report 8.192 ms), and the last
+  // bucket absorbs overflow, so the answer is clamped to the observed max.
+  for (int b = 0; b < kBuckets - 1; ++b) {
     cumulative += buckets[static_cast<size_t>(b)];
     if (static_cast<double>(cumulative) >= target && cumulative > 0) {
-      return BucketUpperMs(b);
+      return std::min(BucketUpperMs(b), max_ms);
     }
   }
   return max_ms;

@@ -37,7 +37,9 @@ struct StageStats {
   double mean_ms() const { return count == 0 ? 0.0 : total_ms / count; }
 
   /// Upper bound (in ms) of the histogram bucket containing the p-th
-  /// percentile observation, p in [0, 100]. 0 when nothing was recorded.
+  /// nearest-rank observation, clamped to max_ms, p in [0, 100]: never
+  /// below that observation and, above 1 us, at most twice it. 0 when
+  /// nothing was recorded.
   double PercentileMs(double p) const;
 };
 

@@ -74,22 +74,6 @@ Status ShardClientConfig::Validate() const {
   return breaker.Validate();
 }
 
-namespace {
-
-std::vector<std::shared_ptr<ShardTransport>> WrapInProcess(
-    std::vector<std::shared_ptr<RetrievalService>> services) {
-  std::vector<std::shared_ptr<ShardTransport>> transports;
-  transports.reserve(services.size());
-  for (auto& service : services) {
-    ADAMINE_CHECK_MSG(service != nullptr, "null replica service");
-    transports.push_back(
-        std::make_shared<InProcessShardTransport>(std::move(service)));
-  }
-  return transports;
-}
-
-}  // namespace
-
 ShardClient::ShardClient(int64_t shard_index, int64_t global_offset,
                          std::vector<std::shared_ptr<ShardTransport>>
                              replicas,
@@ -107,13 +91,6 @@ ShardClient::ShardClient(int64_t shard_index, int64_t global_offset,
     breakers_.push_back(std::make_unique<CircuitBreaker>(config_.breaker));
   }
 }
-
-ShardClient::ShardClient(int64_t shard_index, int64_t global_offset,
-                         std::vector<std::shared_ptr<RetrievalService>>
-                             replicas,
-                         const ShardClientConfig& config)
-    : ShardClient(shard_index, global_offset,
-                  WrapInProcess(std::move(replicas)), config) {}
 
 ShardClient::~ShardClient() {
   std::lock_guard<std::mutex> lock(reaper_mu_);

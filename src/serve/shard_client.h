@@ -92,11 +92,6 @@ class ShardClient {
               std::vector<std::shared_ptr<ShardTransport>> replicas,
               const ShardClientConfig& config);
 
-  /// Convenience: wraps each service in an InProcessShardTransport.
-  ShardClient(int64_t shard_index, int64_t global_offset,
-              std::vector<std::shared_ptr<RetrievalService>> replicas,
-              const ShardClientConfig& config);
-
   /// Joins every attempt thread still in flight (bounded by the slowest
   /// armed stall / replica scoring, not by the caller's deadline).
   ~ShardClient();

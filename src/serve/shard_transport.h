@@ -73,10 +73,6 @@ class InProcessShardTransport : public ShardTransport {
 
   std::string description() const override { return "inproc"; }
 
-  const std::shared_ptr<RetrievalService>& service() const {
-    return service_;
-  }
-
  private:
   std::shared_ptr<RetrievalService> service_;
 };

@@ -22,6 +22,16 @@ double MillisSince(TimePoint start) {
       .count();
 }
 
+/// The failover knobs every ShardClient of the topology shares.
+ShardClientConfig ClientConfigOf(const ShardedServeConfig& config) {
+  ShardClientConfig client;
+  client.shard_timeout_ms = config.shard_timeout_ms;
+  client.hedge_ms = config.hedge_ms;
+  client.retry = config.retry;
+  client.breaker = config.breaker;
+  return client;
+}
+
 }  // namespace
 
 Status ShardedServeConfig::Validate() const {
@@ -39,12 +49,7 @@ Status ShardedServeConfig::Validate() const {
         "approximate shard would silently change the answer");
   }
   ADAMINE_RETURN_IF_ERROR(shard.Validate());
-  ShardClientConfig client;
-  client.shard_timeout_ms = shard_timeout_ms;
-  client.hedge_ms = hedge_ms;
-  client.retry = retry;
-  client.breaker = breaker;
-  return client.Validate();
+  return ClientConfigOf(*this).Validate();
 }
 
 std::string ShardedServeStats::ToString() const {
@@ -131,36 +136,29 @@ ShardedRetrievalService::Create(Tensor items, const ShardedServeConfig& config) 
   shard_config.cache_capacity = 0;
   shard_config.cache_capacity_bytes = 0;
 
-  ShardClientConfig client_config;
-  client_config.shard_timeout_ms = config.shard_timeout_ms;
-  client_config.hedge_ms = config.hedge_ms;
-  client_config.retry = config.retry;
-  client_config.breaker = config.breaker;
-
   // Balanced contiguous chunks: shard s serves corpus rows
   // [s*N/S, (s+1)*N/S), so shard sizes differ by at most one row and no
   // shard is ever empty for num_shards <= rows (a ceil-based chunk would
   // starve trailing shards, e.g. 10 rows across 7 shards). Local id i on
   // shard s is corpus row s*N/S + i, so per-shard result order equals the
-  // global order restricted to the shard.
-  std::vector<std::unique_ptr<ShardClient>> shards;
+  // global order restricted to the shard. Each replica is an in-process
+  // transport, so the local and the RPC topology share one construction.
+  std::vector<std::vector<std::shared_ptr<ShardTransport>>> shards;
   shards.reserve(static_cast<size_t>(config.num_shards));
   for (int64_t s = 0; s < config.num_shards; ++s) {
-    const int64_t r0 = s * rows / config.num_shards;
-    const int64_t r1 = (s + 1) * rows / config.num_shards;
-    Tensor shard_items = SliceRows(items, r0, r1);
-    std::vector<std::shared_ptr<RetrievalService>> replicas;
+    Tensor shard_items = SliceRows(items, s * rows / config.num_shards,
+                                   (s + 1) * rows / config.num_shards);
+    std::vector<std::shared_ptr<ShardTransport>> replicas;
     replicas.reserve(static_cast<size_t>(config.num_replicas));
     for (int64_t r = 0; r < config.num_replicas; ++r) {
       auto replica = RetrievalService::Create(shard_items, shard_config);
       if (!replica.ok()) return replica.status();
-      replicas.push_back(std::move(replica).value());
+      replicas.push_back(std::make_shared<InProcessShardTransport>(
+          std::move(replica).value()));
     }
-    shards.push_back(std::make_unique<ShardClient>(s, r0, std::move(replicas),
-                                                   client_config));
+    shards.push_back(std::move(replicas));
   }
-  return std::unique_ptr<ShardedRetrievalService>(new ShardedRetrievalService(
-      config, rows, dim, std::move(shards)));
+  return CreateFromTransports(std::move(shards), dim, config);
 }
 
 StatusOr<std::unique_ptr<ShardedRetrievalService>>
@@ -173,11 +171,7 @@ ShardedRetrievalService::CreateFromTransports(
   if (dim <= 0) {
     return Status::InvalidArgument("transport topology: dim must be > 0");
   }
-  ShardClientConfig client_config;
-  client_config.shard_timeout_ms = config.shard_timeout_ms;
-  client_config.hedge_ms = config.hedge_ms;
-  client_config.retry = config.retry;
-  client_config.breaker = config.breaker;
+  const ShardClientConfig client_config = ClientConfigOf(config);
   ADAMINE_RETURN_IF_ERROR(client_config.Validate());
 
   std::vector<std::unique_ptr<ShardClient>> clients;

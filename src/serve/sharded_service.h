@@ -98,8 +98,9 @@ class ShardedRetrievalService {
  public:
   /// Partitions the rows of `items` [N, D] and builds num_shards x
   /// num_replicas replica services, each validated by RetrievalService::
-  /// Create. Fails on invalid config, num_shards > N, or a non-exhaustive
-  /// shard backend.
+  /// Create and wrapped in an InProcessShardTransport, then assembles them
+  /// through CreateFromTransports. Fails on invalid config, num_shards > N,
+  /// or a non-exhaustive shard backend.
   static StatusOr<std::unique_ptr<ShardedRetrievalService>> Create(
       Tensor items, const ShardedServeConfig& config);
 

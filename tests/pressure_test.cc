@@ -400,6 +400,64 @@ TEST_F(WalEnospcTest, EnospcDuringDeleteRollsBackAndRetries) {
   EXPECT_EQ((*corpus)->live_rows(), 0);
 }
 
+TEST_F(WalEnospcTest, ReadsStayBitIdenticalToScalarWhileTheWindowIsOpen) {
+  MutableCorpusConfig config;
+  config.background = false;
+  auto corpus = OpenCorpus(config);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  // Reads cover a sealed segment, memtable rows and a tombstone.
+  ASSERT_TRUE((*corpus)->AddBatch(ItemsForIds({0, 1, 2, 3, 4, 5, 6, 7})).ok());
+  ASSERT_TRUE((*corpus)->Flush().ok());
+  ASSERT_TRUE((*corpus)->AddBatch(ItemsForIds({8, 9, 10, 11})).ok());
+  ASSERT_TRUE((*corpus)->Delete(2).ok());
+  ASSERT_EQ((*corpus)->snapshot()->sealed.size(), 1u);
+  mutate::MutableBackend backend(std::move(corpus).value(), "");
+
+  serve::QueryBatch batch;
+  batch.queries = ItemsForIds({100, 101, 102, 103});
+  const int64_t k = 5;
+  // The scalar oracle over the acked live rows; its hit i is live_ids[i].
+  const auto expect_scalar_answers = [&](const std::vector<int64_t>& live) {
+    ASSERT_EQ(backend.size(), static_cast<int64_t>(live.size()));
+    serve::BackendConfig oracle_config;
+    oracle_config.items = ItemsForIds(live);
+    auto oracle = serve::CreateBackend("scalar", oracle_config);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    auto want = (*oracle)->ScoreTopK(batch, nullptr, k, {});
+    auto got = backend.ScoreTopK(batch, nullptr, k, {});
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_EQ(got->hits.size(), want->hits.size());
+    for (size_t q = 0; q < want->hits.size(); ++q) {
+      ASSERT_EQ(got->hits[q].size(), want->hits[q].size());
+      for (size_t i = 0; i < want->hits[q].size(); ++i) {
+        EXPECT_EQ(got->hits[q][i].index,
+                  live[static_cast<size_t>(want->hits[q][i].index)]);
+        EXPECT_EQ(got->hits[q][i].score, want->hits[q][i].score);  // Bitwise.
+      }
+    }
+  };
+  const std::vector<int64_t> before = {0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  expect_scalar_answers(before);
+
+  // The disk stays full for three appends: an Add, a Delete and a batch
+  // are each shed, and every read in between answers from the acked rows.
+  fault::Arm(fault::kMutateWalEnospc, /*skip=*/0, /*fire=*/3);
+  EXPECT_EQ(backend.Add(RowTensor(12)).status().code(),
+            StatusCode::kResourceExhausted);
+  expect_scalar_answers(before);
+  EXPECT_EQ(backend.Delete(0).code(), StatusCode::kResourceExhausted);
+  expect_scalar_answers(before);
+  EXPECT_EQ(backend.corpus()->AddBatch(ItemsForIds({12, 13})).status().code(),
+            StatusCode::kResourceExhausted);
+  expect_scalar_answers(before);
+
+  // Space freed: the retry is acked and reads see it at once.
+  auto retried = backend.Add(RowTensor(12));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(*retried, 12);
+  expect_scalar_answers({0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+}
+
 TEST_F(WalEnospcTest, PermanentWalFailureStillLatchesReadOnly) {
   MutableCorpusConfig config;
   config.background = false;

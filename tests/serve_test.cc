@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -30,6 +31,7 @@
 #include "serve/degradation.h"
 #include "tensor/ops.h"
 #include "util/fault.h"
+#include "util/percentile.h"
 #include "util/rng.h"
 
 namespace adamine {
@@ -374,6 +376,33 @@ TEST(RetrievalServiceTest, StatsCountStagesAndBatches) {
   EXPECT_FALSE(stats.ToString().empty());
   (*service)->ResetStats();
   EXPECT_EQ((*service)->Snapshot().queries, 0);
+}
+
+// The stats histogram reports power-of-two bucket bounds; pinned against
+// the exact nearest-rank percentile of a known sample. One sample spreads
+// over four octaves; the other sits inside one bucket just above 4.096 ms,
+// where an unclamped bound reported p95 = 8.192 ms over a 5.2 ms maximum.
+TEST(StageStatsTest, PercentilesBoundTheExactRankAndNeverExceedTheMax) {
+  std::vector<std::vector<double>> samples(2);
+  for (int i = 0; i < 1000; ++i) {
+    samples[0].push_back(0.01 * std::pow(1.0071, i));
+    samples[1].push_back(4.2 + 0.001 * i);
+  }
+  for (const std::vector<double>& sample : samples) {
+    serve::StageStats stats;
+    for (const double ms : sample) stats.Record(ms);
+    const std::vector<double>& sorted = sample;  // Generated ascending.
+    for (const double p : {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0,
+                           99.0, 99.9, 100.0}) {
+      const double exact = util::SortedPercentile(sorted, p);
+      const double got = stats.PercentileMs(p);
+      EXPECT_LE(got, stats.max_ms) << "p" << p;
+      EXPECT_GE(got, exact) << "p" << p;
+      EXPECT_LE(got, 2.0 * exact) << "p" << p;
+    }
+    EXPECT_EQ(stats.PercentileMs(100), stats.max_ms);
+    EXPECT_EQ(stats.max_ms, sorted.back());
+  }
 }
 
 TEST(IvfIndexValidationTest, RejectsNonPositiveKAndProbes) {

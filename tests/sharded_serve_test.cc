@@ -481,8 +481,16 @@ TEST_F(ShardedFaultTest, AbandonedProbeAttemptStillResolvesTheBreaker) {
              /*skip=*/0, /*fire=*/1);
   auto got = (*service)->QueryBatch(queries, k);
   ASSERT_TRUE(got.ok());
-  ASSERT_EQ((*service)->Snapshot().shards[0].replicas[0].state,
-            serve::BreakerState::kOpen);
+  // The attempt that consumes the failure may still be running when the
+  // hedge's answer returns the query, so its verdict can land after
+  // QueryBatch; wait for it the same bounded way as below.
+  serve::BreakerState opened = serve::BreakerState::kClosed;
+  for (int i = 0; i < 400; ++i) {
+    opened = (*service)->Snapshot().shards[0].replicas[0].state;
+    if (opened == serve::BreakerState::kOpen) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(opened, serve::BreakerState::kOpen);
 
   // Let the cool-off elapse and make replica 0 slow. The next query's
   // primary attempt is the half-open *probe*; after hedge_ms the hedge to
