@@ -1,5 +1,5 @@
 // Serving bench: the batched retrieval service against the per-query
-// scalar loops, swept over micro-batch size x probe count x kernel thread
+// scalar loop, swept over backend x micro-batch size x kernel thread
 // count. Reports QPS, per-query latency and recall@10, and verifies the
 // serving contract: results are bit-identical to the scalar reference
 // paths at every thread count (see DESIGN.md, "Serving").
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "index/ivf_index.h"
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
 #include "quant/int8_corpus.h"
@@ -37,15 +36,7 @@ namespace adamine {
 namespace {
 
 constexpr int64_t kTopK = 10;
-constexpr int64_t kNumLists = 32;
 constexpr int kRepeats = 3;
-
-Tensor RowOf(const Tensor& m, int64_t i) {
-  Tensor row({m.cols()});
-  std::copy(m.data() + i * m.cols(), m.data() + (i + 1) * m.cols(),
-            row.data());
-  return row;
-}
 
 std::vector<int64_t> IdsOf(const std::vector<serve::ScoredHit>& hits) {
   std::vector<int64_t> ids;
@@ -99,8 +90,8 @@ int Run() {
               static_cast<long long>(queries.rows()),
               static_cast<long long>(kTopK));
 
-  // Scalar reference paths (per-query loops, no kernel-pool batching): the
-  // registry's "scalar" oracle and the IVF index's per-query path.
+  // Scalar reference path (per-query loop, no kernel-pool batching): the
+  // registry's "scalar" oracle.
   serve::BackendConfig scalar_config;
   scalar_config.items = items;
   auto scalar_exact = serve::CreateBackend("scalar", scalar_config);
@@ -108,17 +99,7 @@ int Run() {
     std::fprintf(stderr, "%s\n", scalar_exact.status().ToString().c_str());
     return 1;
   }
-  index::IvfConfig ivf_config;
-  ivf_config.num_lists = kNumLists;
-  ivf_config.num_probes = 4;
-  ivf_config.seed = 9;
-  auto scalar_ivf = index::IvfIndex::Build(items.Clone(), ivf_config);
-  if (!scalar_ivf.ok()) {
-    std::fprintf(stderr, "%s\n", scalar_ivf.status().ToString().c_str());
-    return 1;
-  }
   std::vector<std::vector<int64_t>> truth_exact;
-  std::vector<std::vector<int64_t>> truth_ivf;
   Stopwatch watch;
   for (int r = 0; r < kRepeats; ++r) {
     truth_exact.clear();
@@ -132,16 +113,6 @@ int Run() {
   }
   const double scalar_exact_ms =
       watch.ElapsedMillis() / (kRepeats * queries.rows());
-  watch.Restart();
-  for (int r = 0; r < kRepeats; ++r) {
-    truth_ivf.clear();
-    for (int64_t i = 0; i < queries.rows(); ++i) {
-      truth_ivf.push_back(
-          IdsOf(scalar_ivf->SearchOne(RowOf(queries, i), kTopK, 4)));
-    }
-  }
-  const double scalar_ivf_ms =
-      watch.ElapsedMillis() / (kRepeats * queries.rows());
 
   TablePrinter table({"backend", "threads", "batch", "QPS", "ms/query",
                       "recall@10", "vs scalar"});
@@ -151,18 +122,12 @@ int Run() {
   table.AddRow({"scalar exhaustive", "1", "1",
                 TablePrinter::Num(qps(scalar_exact_ms), 0),
                 TablePrinter::Num(scalar_exact_ms, 3), "1.000", "1.00x"});
-  table.AddRow({"scalar ivf(4/32)", "1", "1",
-                TablePrinter::Num(qps(scalar_ivf_ms), 0),
-                TablePrinter::Num(scalar_ivf_ms, 3),
-                TablePrinter::Num(RecallAgainst(truth_exact, truth_ivf), 3),
-                "1.00x"});
 
   bool bit_identical = true;
   // The sweep addresses backends by registry name, resolved through the same
   // BackendFromName lookup the CLI uses — adding a registered backend here is
   // a one-string change.
-  for (const std::string backend_name : {"exhaustive", "ivf", "quantized"}) {
-    const bool use_ivf = backend_name == "ivf";
+  for (const std::string backend_name : {"exhaustive", "quantized"}) {
     for (const int64_t batch : {int64_t{1}, int64_t{16}, int64_t{64}}) {
       // The thread-1 result of this config, for the bit-identity check.
       std::vector<std::vector<int64_t>> at_one_thread;
@@ -175,7 +140,6 @@ int Run() {
           return 1;
         }
         serve_config.backend = *parsed_backend;
-        serve_config.ivf = ivf_config;
         serve_config.micro_batch = batch;
         serve_config.cache_capacity = 0;  // Measure scoring, not the cache.
         auto service = serve::RetrievalService::Create(items, serve_config);
@@ -192,20 +156,18 @@ int Run() {
         const double ms =
             watch.ElapsedMillis() / (kRepeats * queries.rows());
         kernel::SetNumThreads(1);
-        const auto& truth = use_ivf ? truth_ivf : truth_exact;
-        if (results != truth) bit_identical = false;
+        if (results != truth_exact) bit_identical = false;
         if (threads == 1) {
           at_one_thread = results;
         } else if (results != at_one_thread) {
           bit_identical = false;
         }
-        const double scalar_ms = use_ivf ? scalar_ivf_ms : scalar_exact_ms;
         table.AddRow(
-            {use_ivf ? "serve ivf(4/32)" : "serve " + backend_name,
-             std::to_string(threads), std::to_string(batch),
-             TablePrinter::Num(qps(ms), 0), TablePrinter::Num(ms, 3),
+            {"serve " + backend_name, std::to_string(threads),
+             std::to_string(batch), TablePrinter::Num(qps(ms), 0),
+             TablePrinter::Num(ms, 3),
              TablePrinter::Num(RecallAgainst(truth_exact, results), 3),
-             TablePrinter::Num(scalar_ms / ms, 2) + "x"});
+             TablePrinter::Num(scalar_exact_ms / ms, 2) + "x"});
       }
     }
   }
@@ -213,37 +175,6 @@ int Run() {
   std::printf("bit-identical to scalar path at threads {1, 4}: %s\n",
               bit_identical ? "yes" : "NO (BUG)");
 
-  // The probe dial: accuracy/latency trade-off at a fixed batch width.
-  std::printf("\n== Probe dial (ivf backend, batch 64, 4 threads) ==\n");
-  serve::ServeConfig dial_config;
-  dial_config.backend = *serve::BackendFromName("ivf");
-  dial_config.ivf = ivf_config;
-  dial_config.micro_batch = 64;
-  dial_config.cache_capacity = 0;
-  auto dial = serve::RetrievalService::Create(items, dial_config);
-  if (!dial.ok()) {
-    std::fprintf(stderr, "%s\n", dial.status().ToString().c_str());
-    return 1;
-  }
-  TablePrinter dial_table(
-      {"probes (of 32 lists)", "QPS", "ms/query", "recall@10"});
-  kernel::SetNumThreads(4);
-  for (const int64_t probes : {1, 2, 4, 8, 16, 32}) {
-    if (!(*dial)->SetProbes(probes).ok()) return 1;
-    auto results = (*dial)->QueryBatch(queries, kTopK);  // Warm-up.
-    watch.Restart();
-    for (int r = 0; r < kRepeats; ++r) {
-      results = (*dial)->QueryBatch(queries, kTopK);
-    }
-    const double ms = watch.ElapsedMillis() / (kRepeats * queries.rows());
-    dial_table.AddRow({std::to_string(probes), TablePrinter::Num(qps(ms), 0),
-                       TablePrinter::Num(ms, 3),
-                       TablePrinter::Num(RecallAgainst(truth_exact, results),
-                                         3)});
-  }
-  kernel::SetNumThreads(1);
-  dial_table.Print(std::cout);
-  std::printf("\n%s\n", (*dial)->Snapshot().ToString().c_str());
   return bit_identical ? 0 : 1;
 }
 

@@ -11,9 +11,8 @@
 // Serving flags (serve / query):
 //   --backend=NAME             scoring backend: any name registered with
 //                              the backend registry (serve/backend.h), e.g.
-//                              scalar, exhaustive, ivf, quantized (default
-//                              exhaustive)
-//   --probes=N                 IVF probe dial (accuracy vs latency)
+//                              scalar, exhaustive, quantized, mutable
+//                              (default exhaustive)
 //   --rerank-factor=N          quantized backend: exact-rerank candidate
 //                              floor of N * k rows (default 4); results are
 //                              bit-identical to exhaustive at any setting
@@ -30,10 +29,6 @@
 //                              concurrently (0 disables admission)
 //   --max-queue=N              at most N more wait for a slot; the rest
 //                              are shed fast with UNAVAILABLE
-//   --degrade-target-ms=MS     IVF backend: when the score-stage p95
-//                              exceeds MS, probes dial down automatically
-//                              (and back up when healthy; 0 disables)
-//   --min-probes=N             floor of the adaptive probe dial
 //
 // Sharded-serving flags (serve; see DESIGN.md "Sharded serving and
 // failover"). With --shards=N > 1 the exported corpus is partitioned
@@ -192,15 +187,12 @@ int main(int argc, char** argv) {
   long threads = 0;
   bool resume = false;
   std::string backend = "exhaustive";
-  long probes = 0;
   long rerank_factor = 4;
   long serve_batch = 32;
   long serve_cache = 1024;
   double deadline_ms = 0.0;
   long max_inflight = 0;
   long max_queue = 0;
-  double degrade_target_ms = 0.0;
-  long min_probes = 1;
   long shards = 1;
   long replicas = 1;
   double shard_timeout_ms = 0.0;
@@ -249,8 +241,6 @@ int main(int argc, char** argv) {
                      parsed.status().ToString().c_str());
         return 1;
       }
-    } else if (arg.rfind("--probes=", 0) == 0) {
-      probes = std::atol(arg.c_str() + std::strlen("--probes="));
     } else if (arg.rfind("--rerank-factor=", 0) == 0) {
       rerank_factor = std::atol(arg.c_str() + std::strlen("--rerank-factor="));
       if (rerank_factor <= 0) {
@@ -269,15 +259,6 @@ int main(int argc, char** argv) {
       max_inflight = std::atol(arg.c_str() + std::strlen("--max-inflight="));
     } else if (arg.rfind("--max-queue=", 0) == 0) {
       max_queue = std::atol(arg.c_str() + std::strlen("--max-queue="));
-    } else if (arg.rfind("--degrade-target-ms=", 0) == 0) {
-      degrade_target_ms =
-          std::atof(arg.c_str() + std::strlen("--degrade-target-ms="));
-    } else if (arg.rfind("--min-probes=", 0) == 0) {
-      min_probes = std::atol(arg.c_str() + std::strlen("--min-probes="));
-      if (min_probes <= 0) {
-        std::fprintf(stderr, "error: --min-probes must be positive\n");
-        return 1;
-      }
     } else if (arg.rfind("--shards=", 0) == 0) {
       shards = std::atol(arg.c_str() + std::strlen("--shards="));
       if (shards <= 0) {
@@ -455,15 +436,6 @@ int main(int argc, char** argv) {
     serve_config.max_seal_lag = max_seal_lag;
     serve_config.admit_wait_ms = admit_wait_ms;
     serve_config.scrub_interval_ms = scrub_interval_ms;
-    if (serve_config.backend == adamine::serve::Backend::kIvf) {
-      serve_config.ivf.num_lists =
-          std::min<int64_t>(32, test.image_emb.rows());
-      serve_config.ivf.num_probes =
-          probes > 0 ? probes : std::min<int64_t>(4, serve_config.ivf.num_lists);
-      serve_config.degradation.target_ms = degrade_target_ms;
-      serve_config.degradation.min_probes =
-          std::min<int64_t>(min_probes, serve_config.ivf.num_probes);
-    }
     adamine::serve::QueryOptions query_options;
     query_options.deadline_ms = deadline_ms;
 
@@ -627,12 +599,6 @@ int main(int argc, char** argv) {
     // fault-tolerant shards and replay the same query stream through the
     // fan-out/fan-in merge.
     if (shards > 1) {
-      if (serve_config.backend == adamine::serve::Backend::kIvf) {
-        std::fprintf(stderr,
-                     "error: --shards requires an exact backend (scalar or "
-                     "exhaustive) — the merge re-ranks per-hit scores\n");
-        return 1;
-      }
       auto bundle = io::LoadTensorBundle(embeddings_path);
       if (!bundle.ok()) return Fail(bundle.status());
       Tensor corpus;

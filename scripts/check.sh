@@ -17,9 +17,41 @@ if [[ "${1:-}" == "--fast" ]]; then
   FAST=1
 fi
 
+# A --gtest_filter pattern that matches no test passes silently, so a
+# deleted or renamed suite would drop out of its ctest label unnoticed.
+# Fail when any pattern in a labelled suite's filter lists zero tests.
+check_suite_filters() {
+  ctest --test-dir "$1" --show-only=json-v1 | python3 -c '
+import json, subprocess, sys
+stale = []
+for test in json.load(sys.stdin)["tests"]:
+    props = {p["name"]: p["value"] for p in test.get("properties", [])}
+    if not props.get("LABELS"):
+        continue
+    binary = test["command"][0]
+    for arg in test["command"][1:]:
+        if not arg.startswith("--gtest_filter="):
+            continue
+        positive = arg[len("--gtest_filter="):].split("-")[0]
+        for pattern in positive.split(":"):
+            listed = subprocess.run(
+                [binary, "--gtest_list_tests", "--gtest_filter=" + pattern],
+                capture_output=True, text=True, check=True).stdout
+            if not any(line.startswith("  ") for line in listed.splitlines()):
+                stale.append(test["name"] + ": " + pattern)
+for entry in stale:
+    print("stale --gtest_filter pattern (lists zero tests):", entry,
+          file=sys.stderr)
+sys.exit(1 if stale else 0)
+'
+}
+
 echo "== tier-1: configure + build =="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
+
+echo "== tier-1: labelled suite filters match tests =="
+check_suite_filters build
 
 echo "== tier-1: full test suite =="
 ctest --test-dir build --output-on-failure -j "$(nproc)"
@@ -99,6 +131,7 @@ done
 echo "== tsan: configure + build (ADAMINE_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DADAMINE_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)"
+check_suite_filters build-tsan  # The tsan label exists only here.
 
 echo "== tsan: golden-diff harness =="
 ctest --test-dir build-tsan -L golden --output-on-failure

@@ -6,11 +6,11 @@
 
 namespace adamine::kernel {
 
-/// The one ranking rule. Every exact scorer (the scalar, exhaustive,
-/// quantized and mutable backends), the IVF search and the sharded merge
-/// score an item by DotAscending's bits and rank by (score desc, id asc)
-/// through the selectors below, so "bit-identical to the scalar oracle"
-/// reduces to "same scores in, same selector" (see DESIGN.md, "Kernel
+/// The one ranking rule. Every scorer (the scalar, exhaustive, quantized
+/// and mutable backends) and the sharded merge score an item by
+/// DotAscending's bits and rank by (score desc, id asc) through the
+/// selectors below, so "bit-identical to the scalar oracle" reduces to
+/// "same scores in, same selector" (see DESIGN.md, "Kernel
 /// execution layer").
 
 /// Inner product as a single float accumulation chain in ascending j — the

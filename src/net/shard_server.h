@@ -65,9 +65,9 @@ struct ShardServerStats {
 ///
 /// The request deadline crosses the wire as a remaining-budget duration;
 /// the server re-anchors it on arrival and hands the shrunken budget to the
-/// service's QueryOptions, so the PR 4 admission/deadline/degradation stack
-/// enforces it server-side — a request that expires in the server's own
-/// queue is answered with kDeadlineExceeded without scoring.
+/// service's QueryOptions, so the admission/deadline stack enforces it
+/// server-side — a request that expires in the server's own queue is
+/// answered with kDeadlineExceeded without scoring.
 ///
 /// A torn or garbage frame is answered with a kDataLoss response (when the
 /// stream was intact enough to frame one) and the connection is closed:

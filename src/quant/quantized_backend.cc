@@ -7,8 +7,8 @@
 // (floored at rerank_factor * k rows) and reranks just those with the exact
 // reference dot (kernel::DotAscending, compiled in kernel/topk.cc under
 // -ffp-contract=off). Because no excluded row can beat the k-th best lower
-// bound, the final top-k is bit-identical to the exhaustive path — this
-// backend reports exact() == true and passes the golden-diff matrix.
+// bound, the final top-k is bit-identical to the exhaustive path, and the
+// backend passes the golden-diff matrix.
 //
 // The interval derivation, with per-row stats from QuantizeRows:
 //   x[j] = scale*c[j] + bias + e[j],        |e[j]| <= recon_error   (measured)
@@ -108,7 +108,6 @@ class QuantizedBackend final : public ScoringBackend {
   const char* name() const override { return "quantized"; }
   int64_t size() const override { return corpus_.rows; }
   int64_t dim() const override { return corpus_.dim; }
-  bool exact() const override { return true; }
 
  protected:
   StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,

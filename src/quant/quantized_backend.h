@@ -13,15 +13,15 @@ namespace adamine::quant {
 /// gathered rows (kernel::DotAscending) produces the final top-k. The
 /// candidate set provably contains the true top-k (see the bound derivation
 /// in quantized_backend.cc), so the result is bit-identical to the scalar
-/// reference and the backend reports exact() == true.
+/// reference.
 ///
 /// BackendConfig::rerank_factor (>= 1) floors the candidate set at
 /// min(N, rerank_factor * k) rows, giving the knob the usual two-stage
 /// semantics; the verified interval selection can widen past the floor when
 /// quantization error demands it — exactness is never traded away.
 ///
-/// Registered under the name "quantized" by the serve registry (no probe
-/// dial, no filter support); this header exists for direct construction in
+/// Registered under the name "quantized" by the serve registry (no filter
+/// support); this header exists for direct construction in
 /// tests and benches.
 StatusOr<std::unique_ptr<serve::ScoringBackend>> CreateQuantizedBackend(
     const serve::BackendConfig& config);

@@ -6,7 +6,6 @@
 
 #include "serve/backend.h"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -122,59 +121,6 @@ class ExhaustiveBackend final : public ScoringBackend {
   const kernel::PackedB items_;  // The [N, D] items, transposed into panels.
 };
 
-/// index::IvfIndex approximate search behind the backend seam. Owns the
-/// runtime probe dial; exact (and bit-identical to the reference) when
-/// every list is probed.
-class IvfBackend final : public ScoringBackend {
- public:
-  IvfBackend(index::IvfIndex index, int64_t dim, int64_t probes)
-      : index_(std::move(index)), dim_(dim), probes_(probes) {}
-
-  const char* name() const override { return "ivf"; }
-  int64_t size() const override { return index_.size(); }
-  int64_t dim() const override { return dim_; }
-
-  bool has_probes() const override { return true; }
-  int64_t max_probes() const override { return index_.num_lists(); }
-
-  Status SetProbes(int64_t probes) override {
-    if (probes <= 0 || probes > index_.num_lists()) {
-      return Status::InvalidArgument("need 0 < probes <= num_lists");
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    probes_ = probes;
-    return Status::Ok();
-  }
-
-  int64_t probes() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return probes_;
-  }
-
-  bool exact() const override { return probes() == index_.num_lists(); }
-
- protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
-                                     const QueryOptions& options) override {
-    const int64_t effective =
-        options.probes > 0 ? std::min(options.probes, index_.num_lists())
-                           : probes();
-    TopKResult out;
-    Stopwatch watch;
-    // The fused batched search (centroid scan, candidate GEMM, per-query
-    // ranking) reports as one score stage; rank_ms stays fused.
-    out.hits = index_.Search(batch.queries, k, effective);
-    out.score_ms = watch.ElapsedMillis();
-    return out;
-  }
-
- private:
-  index::IvfIndex index_;
-  const int64_t dim_;
-  mutable std::mutex mu_;  // Guards the probe dial.
-  int64_t probes_;
-};
-
 /// The in-process sharded fan-out/fan-in behind the backend seam: the
 /// corpus partitioned across exhaustive shards, merged by (score desc,
 /// global id asc). Exact whenever every shard responds.
@@ -191,9 +137,7 @@ class ShardedBackend final : public ScoringBackend {
   StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& options) override {
     Stopwatch watch;
-    QueryOptions fanout = options;
-    fanout.probes = 0;  // Shards are exhaustive; no dial to pin.
-    auto merged = service_->QueryBatchWithOptions(batch.queries, k, fanout);
+    auto merged = service_->QueryBatchWithOptions(batch.queries, k, options);
     if (!merged.ok()) return merged.status();
     TopKResult out;
     out.hits = std::move(merged->results);
@@ -238,18 +182,6 @@ Registry& GlobalRegistry() {
               new ExhaustiveBackend(config.items));
         },
         BackendTraits{}};
-    r->entries["ivf"] = {
-        [](const BackendConfig& config)
-            -> StatusOr<std::unique_ptr<ScoringBackend>> {
-          ADAMINE_RETURN_IF_ERROR(ValidateBackendItems(config.items));
-          // Tensor copies alias the buffer, so the index shares the rows.
-          auto index = index::IvfIndex::Build(config.items, config.ivf);
-          if (!index.ok()) return index.status();
-          return std::unique_ptr<ScoringBackend>(
-              new IvfBackend(std::move(index).value(), config.items.cols(),
-                             config.ivf.num_probes));
-        },
-        BackendTraits{/*has_probes=*/true, /*sharded=*/false}};
     r->entries["sharded"] = {
         [](const BackendConfig& config)
             -> StatusOr<std::unique_ptr<ScoringBackend>> {
@@ -265,7 +197,7 @@ Registry& GlobalRegistry() {
           return std::unique_ptr<ScoringBackend>(
               new ShardedBackend(std::move(service).value()));
         },
-        BackendTraits{/*has_probes=*/false, /*sharded=*/true}};
+        BackendTraits{/*sharded=*/true}};
     r->entries["quantized"] = {
         [](const BackendConfig& config)
             -> StatusOr<std::unique_ptr<ScoringBackend>> {
@@ -331,13 +263,6 @@ StatusOr<TopKResult> ScoringBackend::ScoreTopK(const QueryBatch& batch,
         " does not match corpus dim " + std::to_string(dim()));
   }
   return ScoreTopKImpl(batch, k, options);
-}
-
-Status ScoringBackend::SetProbes(int64_t /*probes*/) {
-  return Status::FailedPrecondition(
-      std::string("backend '") + name() +
-      "' has no probe dial (probes apply only to backends with a coarse "
-      "quantiser, e.g. ivf)");
 }
 
 StatusOr<int64_t> ScoringBackend::Add(const Tensor& /*row*/) {

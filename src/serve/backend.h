@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "index/ivf_index.h"
 #include "kernel/topk.h"
 #include "serve/serve_stats.h"
 #include "tensor/tensor.h"
@@ -29,11 +28,6 @@ struct QueryOptions {
   /// scoring, and between micro-batches; an exceeded budget returns
   /// kDeadlineExceeded instead of results.
   double deadline_ms = 0.0;
-  /// Probe count for this request on backends with a probe dial; 0 means
-  /// the backend's current dial setting. The service pins the dial value it
-  /// read for the cache key here, so a concurrent SetProbes can never make
-  /// the scored result disagree with the key it is cached under.
-  int64_t probes = 0;
 };
 
 /// The absolute deadline of a request entering the service now:
@@ -66,9 +60,8 @@ struct Filter {
 /// the serving layer can keep per-stage counters without knowing how the
 /// backend splits its work.
 struct TopKResult {
-  /// hits[i] answers query row i: up to min(k, corpus) hits ordered by
-  /// (score desc, global id asc). Approximate backends may return fewer
-  /// when their candidate set runs short.
+  /// hits[i] answers query row i: min(k, corpus) hits ordered by
+  /// (score desc, global id asc).
   std::vector<std::vector<ScoredHit>> hits;
   double score_ms = 0.0;  // Similarity-computation wall time.
   double rank_ms = -1.0;  // Top-k ranking wall time; < 0 when fused.
@@ -79,8 +72,6 @@ struct TopKResult {
 /// the serving layer above it; backends ignore the knobs they do not use.
 struct BackendConfig {
   Tensor items;  // [N, D] unit rows; copies alias the buffer.
-  /// Coarse-quantiser settings for probed backends ("ivf").
-  index::IvfConfig ivf;
   /// Topology for sharded backends ("sharded", "remote").
   int64_t num_shards = 1;
   int64_t num_replicas = 1;
@@ -113,16 +104,14 @@ struct BackendConfig {
 
 /// A scoring backend: one way to turn a query batch into per-query top-k
 /// lists over a fixed corpus. Implementations must honour the determinism
-/// contract (DESIGN.md, "Backend registry"): when exact() is true the
-/// answer is bit-identical to the scalar reference — every (query, item)
-/// similarity computed by the same ascending accumulation chain, ranked by
-/// (score desc, global id asc) — at every kernel thread count; when
-/// exact() is false the answer must still be deterministic, well-ordered
-/// and carry reference-bitwise scores.
+/// contract (DESIGN.md, "Backend registry"): the answer is bit-identical
+/// to the scalar reference — every (query, item) similarity computed by the
+/// same ascending accumulation chain, ranked by (score desc, global id
+/// asc) — at every kernel thread count.
 ///
-/// Thread safety: ScoreTopK / SetProbes / probes may be called
-/// concurrently. Backends do not serialise scoring themselves — the
-/// serving layer owns the executor mutex.
+/// Thread safety: ScoreTopK may be called concurrently. Backends do not
+/// serialise scoring themselves — the serving layer owns the executor
+/// mutex.
 class ScoringBackend {
  public:
   virtual ~ScoringBackend() = default;
@@ -141,18 +130,6 @@ class ScoringBackend {
   /// Corpus rows / embedding dimension served.
   virtual int64_t size() const = 0;
   virtual int64_t dim() const = 0;
-
-  /// Probe dial. Backends without probes reject SetProbes with a
-  /// descriptive kFailedPrecondition naming the backend; probes() is then 0
-  /// and max_probes() 0.
-  virtual bool has_probes() const { return false; }
-  virtual Status SetProbes(int64_t probes);
-  virtual int64_t probes() const { return 0; }
-  virtual int64_t max_probes() const { return 0; }
-
-  /// True when the current settings reproduce the scalar reference answer
-  /// bit for bit (probed backends: every list scanned).
-  virtual bool exact() const { return true; }
 
   /// Mutation epoch: bumped by every acknowledged Add / Delete, constant 0
   /// on immutable backends. The serving layer keys its result cache by
@@ -178,11 +155,10 @@ class ScoringBackend {
 };
 
 /// Static registration facts about a backend, used by the golden harness
-/// to pick the test matrix (probe sweeps, shard-count sweeps) without
-/// creating an instance first.
+/// to pick the test matrix (shard-count sweeps) without creating an
+/// instance first.
 struct BackendTraits {
-  bool has_probes = false;  // Honours SetProbes / BackendConfig::ivf.
-  bool sharded = false;     // Honours BackendConfig::num_shards/replicas.
+  bool sharded = false;  // Honours BackendConfig::num_shards/replicas.
 };
 
 using BackendFactory =
@@ -190,9 +166,9 @@ using BackendFactory =
         const BackendConfig&)>;
 
 /// Registers a backend under `name`. The built-ins ("scalar", "exhaustive",
-/// "ivf", "sharded") self-register on first registry access; out-of-tree
-/// backends (a test's loopback-RPC topology, the future quantized path)
-/// register here and inherit the golden harness's coverage with no new test
+/// "quantized", "mutable", "sharded") self-register on first registry
+/// access; out-of-tree backends (a test's loopback-RPC topology) register
+/// here and inherit the golden harness's coverage with no new test
 /// code. Fails with kInvalidArgument on a duplicate name.
 Status RegisterBackend(const std::string& name, BackendFactory factory,
                        const BackendTraits& traits = {});

@@ -18,8 +18,6 @@ const char* BackendName(Backend backend) {
       return "scalar";
     case Backend::kExhaustive:
       return "exhaustive";
-    case Backend::kIvf:
-      return "ivf";
     case Backend::kQuantized:
       return "quantized";
     case Backend::kMutable:
@@ -35,13 +33,12 @@ StatusOr<Backend> BackendFromName(const std::string& name) {
   if (!canonical.ok()) return canonical.status();
   if (*canonical == "scalar") return Backend::kScalar;
   if (*canonical == "exhaustive") return Backend::kExhaustive;
-  if (*canonical == "ivf") return Backend::kIvf;
   if (*canonical == "quantized") return Backend::kQuantized;
   if (*canonical == "mutable") return Backend::kMutable;
   return Status::InvalidArgument(
       "backend '" + *canonical +
       "' is registered but cannot back an embedded RetrievalService "
-      "(embeddable backends: scalar, exhaustive, ivf, quantized, mutable)");
+      "(embeddable backends: scalar, exhaustive, quantized, mutable)");
 }
 
 Status ServeConfig::Validate() const {
@@ -61,7 +58,6 @@ Status ServeConfig::Validate() const {
     return Status::InvalidArgument(
         "max_queue requires admission control (max_inflight > 0)");
   }
-  ADAMINE_RETURN_IF_ERROR(degradation.Validate());
   if (rerank_factor < 1) {
     return Status::InvalidArgument("rerank_factor must be >= 1");
   }
@@ -80,14 +76,6 @@ Status ServeConfig::Validate() const {
   if (admit_wait_ms < 0.0 || scrub_interval_ms < 0.0) {
     return Status::InvalidArgument(
         "admit_wait_ms/scrub_interval_ms must be >= 0");
-  }
-  if (backend == Backend::kIvf) {
-    ADAMINE_RETURN_IF_ERROR(ivf.Validate());
-    if (degradation.target_ms > 0.0 &&
-        degradation.min_probes > ivf.num_probes) {
-      return Status::InvalidArgument(
-          "degradation.min_probes must not exceed ivf.num_probes");
-    }
   }
   return Status::Ok();
 }
@@ -145,7 +133,6 @@ StatusOr<std::unique_ptr<RetrievalService>> RetrievalService::Create(
   std::unique_ptr<RetrievalService> service(new RetrievalService(config));
   BackendConfig backend_config;
   backend_config.items = std::move(items);
-  backend_config.ivf = config.ivf;
   backend_config.rerank_factor = config.rerank_factor;
   backend_config.wal_dir = config.wal_dir;
   backend_config.seal_threshold = config.seal_threshold;
@@ -157,10 +144,6 @@ StatusOr<std::unique_ptr<RetrievalService>> RetrievalService::Create(
   auto backend = CreateBackend(BackendName(config.backend), backend_config);
   if (!backend.ok()) return backend.status();
   service->backend_ = std::move(backend.value());
-  if (service->backend_->has_probes() && config.degradation.target_ms > 0.0) {
-    service->degradation_ = std::make_unique<DegradationController>(
-        config.degradation, service->backend_->probes());
-  }
   return service;
 }
 
@@ -194,40 +177,20 @@ StatusOr<int64_t> RetrievalService::Add(const Tensor& row) {
 
 Status RetrievalService::Delete(int64_t id) { return backend_->Delete(id); }
 
-Status RetrievalService::SetProbes(int64_t probes) {
-  // The backend owns the dial (and its validation/rejection message); the
-  // service only re-anchors the degradation controller on success.
-  ADAMINE_RETURN_IF_ERROR(backend_->SetProbes(probes));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (degradation_) degradation_->OnManualSetProbes(probes);
-  return Status::Ok();
-}
-
-int64_t RetrievalService::probes() const { return backend_->probes(); }
-
-HealthState RetrievalService::health() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return degradation_ ? degradation_->health() : HealthState::kHealthy;
-}
-
-std::string RetrievalService::CacheKey(const float* query, int64_t k,
-                                       int64_t probes) const {
+std::string RetrievalService::CacheKey(const float* query, int64_t k) const {
   // Exact-match key: the raw query bytes plus everything that selects the
-  // result — k, the probe dial, and the backend's mutation epoch. Keying
-  // by the epoch is the invalidation mechanism for live mutation: an Add /
-  // Delete bumps it, every pre-mutation entry becomes unreachable (and
-  // ages out through the LRU), and the same query re-scored observes the
-  // new row set. Immutable backends report a constant epoch, so their keys
-  // are unchanged.
+  // result — k and the backend's mutation epoch. Keying by the epoch is the
+  // invalidation mechanism for live mutation: an Add / Delete bumps it,
+  // every pre-mutation entry becomes unreachable (and ages out through the
+  // LRU), and the same query re-scored observes the new row set. Immutable
+  // backends report a constant epoch, so their keys never change.
   const int64_t epoch = backend_->epoch();
   const size_t query_bytes = sizeof(float) * static_cast<size_t>(dim());
   std::string key;
-  key.resize(query_bytes + 3 * sizeof(int64_t));
+  key.resize(query_bytes + 2 * sizeof(int64_t));
   std::memcpy(key.data(), query, query_bytes);
   std::memcpy(key.data() + query_bytes, &k, sizeof(k));
-  std::memcpy(key.data() + query_bytes + sizeof(k), &probes, sizeof(probes));
-  std::memcpy(key.data() + query_bytes + sizeof(k) + sizeof(probes), &epoch,
-              sizeof(epoch));
+  std::memcpy(key.data() + query_bytes + sizeof(k), &epoch, sizeof(epoch));
   return key;
 }
 
@@ -306,7 +269,7 @@ Status RetrievalService::DeadlineMiss(const char* where) {
 
 StatusOr<std::vector<std::vector<ScoredHit>>>
 RetrievalService::ScoreMicroBatch(const Tensor& queries, int64_t k,
-                                  int64_t probes, TimePoint deadline) {
+                                  TimePoint deadline) {
   std::lock_guard<std::mutex> exec_lock(exec_mu_);
   // Re-check after acquiring the executor: a request that waited out its
   // budget in line behind slow batches must fail before burning a GEMM.
@@ -315,8 +278,7 @@ RetrievalService::ScoreMicroBatch(const Tensor& queries, int64_t k,
   }
   // Armed serve.score.delay simulates slow scoring (cold pages, CPU
   // contention): the skip field carries the delay in milliseconds and the
-  // stall counts towards the score stage, so it drives the degradation
-  // controller exactly like a real slowdown.
+  // stall counts towards the score stage, exactly like a real slowdown.
   double stall_ms = 0.0;
   const int64_t delay_ms = fault::ArmedSkip(fault::kServeScoreDelay);
   if (delay_ms >= 0) {
@@ -326,10 +288,8 @@ RetrievalService::ScoreMicroBatch(const Tensor& queries, int64_t k,
   }
   // Qualified: the QueryBatch member function shadows the struct in here.
   serve::QueryBatch batch{queries};
-  QueryOptions score_options;
-  score_options.probes = probes;
   auto result = backend_->ScoreTopK(batch, /*filter=*/nullptr, k,
-                                    score_options);
+                                    QueryOptions());
   if (!result.ok()) return result.status();
   const double score_ms = stall_ms + result->score_ms;
   {
@@ -337,18 +297,6 @@ RetrievalService::ScoreMicroBatch(const Tensor& queries, int64_t k,
     ++stats_.batches;
     stats_.score.Record(score_ms);
     if (result->rank_ms >= 0.0) stats_.rank.Record(result->rank_ms);
-    if (degradation_) {
-      // The controller only moves the dial it owns: a manual SetProbes
-      // between this batch's dispatch and now is re-anchored, not undone
-      // (OnManualSetProbes resets the window).
-      const DegradationDecision decision = degradation_->Observe(score_ms);
-      if (decision.changed) {
-        // The controller moves within (0, the seed probes], which every
-        // probed backend accepts.
-        const Status dialed = backend_->SetProbes(decision.probes);
-        ADAMINE_CHECK_MSG(dialed.ok(), dialed.ToString());
-      }
-    }
   }
   return std::move(result->hits);
 }
@@ -388,13 +336,6 @@ Status RetrievalService::ServeRows(const Tensor& queries, int64_t k,
   const TimePoint deadline = DeadlineOf(options);
   const int64_t b = queries.rows();
   const int64_t d = dim();
-  // The effective probe count — a per-request override when set, else the
-  // dial — selects the result, so it must drive both the scoring and the
-  // cache key. Keying by the dial alone while an override was in force
-  // would file override-scored results under the dial's namespace (and
-  // vice versa), serving stale mixes after the next SetProbes.
-  const int64_t current_probes =
-      options.probes > 0 ? options.probes : probes();
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.queries += b;
@@ -415,8 +356,7 @@ Status RetrievalService::ServeRows(const Tensor& queries, int64_t k,
     std::vector<std::string> miss_keys;
     for (int64_t i = start; i < end; ++i) {
       if (cached) {
-        std::string key =
-            CacheKey(queries.data() + i * d, k, current_probes);
+        std::string key = CacheKey(queries.data() + i * d, k);
         if (CacheLookup(key, &(*ids)[static_cast<size_t>(i)])) continue;
         miss_keys.push_back(std::move(key));
       }
@@ -438,7 +378,7 @@ Status RetrievalService::ServeRows(const Tensor& queries, int64_t k,
       const float* src = queries.data() + miss_rows[r] * d;
       std::copy(src, src + d, micro.data() + static_cast<int64_t>(r) * d);
     }
-    auto scored = ScoreMicroBatch(micro, k, current_probes, deadline);
+    auto scored = ScoreMicroBatch(micro, k, deadline);
     if (!scored.ok()) return scored.status();
     for (size_t r = 0; r < miss_rows.size(); ++r) {
       const size_t row = static_cast<size_t>(miss_rows[r]);
@@ -473,11 +413,9 @@ void RetrievalService::RecordEmbedMillis(double ms) {
 }
 
 ServeStats RetrievalService::Snapshot() const {
-  // The admission controller and the backend's probe dial / pressure
-  // gauges keep their own synchronisation; read them before taking mu_ so
-  // locks never nest.
+  // The admission controller and the backend's pressure gauges keep their
+  // own synchronisation; read them before taking mu_ so locks never nest.
   const AdmissionStats admission = admission_->Snapshot();
-  const int64_t current_probes = backend_->probes();
   const MutationPressure pressure = backend_->pressure();
   std::lock_guard<std::mutex> lock(mu_);
   ServeStats stats = stats_;
@@ -487,19 +425,12 @@ ServeStats RetrievalService::Snapshot() const {
   stats.inflight_peak = admission.inflight_peak;
   stats.queue_peak = admission.queue_peak;
   stats.cache_bytes = cache_bytes_;
-  stats.probes = current_probes;
   stats.mutation = pressure;
-  if (degradation_) {
-    stats.health = degradation_->health();
-    stats.probe_dial_downs = degradation_->dial_downs() - dial_downs_base_;
-    stats.probe_dial_ups = degradation_->dial_ups() - dial_ups_base_;
-  }
   // A quarantined segment (or the read-only latch) means the corpus is
   // serving but impaired: rows are gone until re-ingested, mutations may
-  // be refused. Surface that as degraded health even without a
-  // degradation controller, so operators see it where they already look.
-  if ((pressure.quarantined_segments > 0 || pressure.read_only) &&
-      stats.health == HealthState::kHealthy) {
+  // be refused. Surface that as degraded health, so operators see it where
+  // they already look.
+  if (pressure.quarantined_segments > 0 || pressure.read_only) {
     stats.health = HealthState::kDegraded;
   }
   return stats;
@@ -509,10 +440,6 @@ void RetrievalService::ResetStats() {
   admission_->ResetStats();
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = ServeStats();
-  if (degradation_) {
-    dial_downs_base_ = degradation_->dial_downs();
-    dial_ups_base_ = degradation_->dial_ups();
-  }
 }
 
 }  // namespace adamine::serve

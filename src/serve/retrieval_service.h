@@ -11,10 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "index/ivf_index.h"
 #include "serve/admission.h"
 #include "serve/backend.h"
-#include "serve/degradation.h"
 #include "serve/serve_stats.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
@@ -32,9 +30,6 @@ enum class Backend {
   /// The "exhaustive" backend: one tiled GEMM of the query micro-batch
   /// against every item, then per-query top-k. Exact.
   kExhaustive,
-  /// The "ivf" backend: index::IvfIndex approximate search with a runtime
-  /// probe dial.
-  kIvf,
   /// The "quantized" backend: int8 approximate scan + exact float rerank
   /// (src/quant/). Exact — bit-identical to the scalar reference — with a
   /// ~4x smaller scan footprint; tune via ServeConfig::rerank_factor.
@@ -46,8 +41,8 @@ enum class Backend {
   kMutable,
 };
 
-/// The registry name of `backend` ("scalar", "exhaustive", "ivf",
-/// "quantized", "mutable").
+/// The registry name of `backend` ("scalar", "exhaustive", "quantized",
+/// "mutable").
 const char* BackendName(Backend backend);
 
 /// Maps a registry name to the enum. Unknown names fail with the
@@ -59,9 +54,6 @@ StatusOr<Backend> BackendFromName(const std::string& name);
 
 struct ServeConfig {
   Backend backend = Backend::kExhaustive;
-  /// Coarse-quantiser settings for Backend::kIvf (num_probes seeds the
-  /// probe dial; SetProbes adjusts it at runtime).
-  index::IvfConfig ivf;
   /// Candidate floor for Backend::kQuantized: the approximate scan keeps at
   /// least min(N, rerank_factor * k) rows for the exact rerank (>= 1; see
   /// serve/backend.h).
@@ -96,9 +88,6 @@ struct ServeConfig {
   /// kUnavailable. 0 disables admission control.
   int64_t max_inflight = 0;
   int64_t max_queue = 0;
-  /// Adaptive probe degradation for backends with a probe dial
-  /// (target_ms <= 0 disables it; ignored on dial-less backends).
-  DegradationConfig degradation;
 
   Status Validate() const;
 };
@@ -110,17 +99,14 @@ struct ServeConfig {
 /// and keeps per-stage latency counters (ServeStats).
 ///
 /// Overload safety (see DESIGN.md, "Overload behavior"): requests may
-/// carry a deadline (QueryOptions), a bounded admission queue sheds excess
-/// load fast with kUnavailable, and on backends with a probe dial an
-/// adaptive degradation controller dials probes down when the score-stage
-/// p95 exceeds its target (and back up when healthy), with the current
-/// HealthState exposed via Snapshot().
+/// carry a deadline (QueryOptions), and a bounded admission queue sheds
+/// excess load fast with kUnavailable.
 ///
 /// Determinism: results are bit-identical to the scalar reference backend
-/// for every kernel thread count whenever the hosted backend is exact()
-/// (see serve/backend.h and DESIGN.md, "Backend registry").
+/// for every kernel thread count (see serve/backend.h and DESIGN.md,
+/// "Backend registry").
 ///
-/// Thread safety: Query / QueryBatch / SetProbes / Snapshot may be called
+/// Thread safety: Query / QueryBatch / Snapshot may be called
 /// concurrently. Scoring serialises *per service* on an internal executor
 /// mutex (within one service, parallelism comes from the micro-batch
 /// spreading over the kernel pool; distinct services — e.g. shard
@@ -142,7 +128,7 @@ class RetrievalService {
 
   /// Indices of the k most cosine-similar items to the unit query row [D],
   /// most similar first. Served from the cache when the exact same
-  /// (query bytes, k, probes) was answered before. Fails with
+  /// (query bytes, k) was answered before. Fails with
   /// kDeadlineExceeded (budget exhausted) or kUnavailable (load shed).
   StatusOr<std::vector<int64_t>> QueryWithOptions(const Tensor& query,
                                                   int64_t k,
@@ -182,27 +168,13 @@ class RetrievalService {
   StatusOr<int64_t> Add(const Tensor& row);
   Status Delete(int64_t id);
 
-  /// Runtime accuracy/latency dial, forwarded to the hosted backend
-  /// (backends without probes reject it with a descriptive
-  /// kFailedPrecondition naming themselves). Cached results are keyed by
-  /// the probe count, so dialling never serves stale mixes. A manual dial
-  /// also re-anchors the degradation controller's "full" value.
-  Status SetProbes(int64_t probes);
-
-  /// The hosted backend's current probe count (0 on backends without a
-  /// dial). The degradation controller may move this between calls.
-  int64_t probes() const;
-
-  /// Current health (kHealthy when degradation is disabled or inactive).
-  HealthState health() const;
-
   /// Records one query-embedding forward pass run by the caller (the model
   /// lives outside the service) into the embed stage of the stats.
   void RecordEmbedMillis(double ms);
 
   /// Consistent snapshot of the counters since construction / ResetStats,
-  /// including the overload counters (admission, deadlines, probe dial)
-  /// and the current health state.
+  /// including the overload counters (admission, deadlines) and the
+  /// current health state.
   ServeStats Snapshot() const;
   void ResetStats();
 
@@ -217,11 +189,11 @@ class RetrievalService {
 
   explicit RetrievalService(const ServeConfig& config);
 
-  /// Exact-match cache key: the raw query bytes, k, the probe dial, and
-  /// the backend's mutation epoch — entries cached before an Add / Delete
-  /// are keyed under the old epoch and can never be served again (they age
-  /// out through the LRU).
-  std::string CacheKey(const float* query, int64_t k, int64_t probes) const;
+  /// Exact-match cache key: the raw query bytes, k, and the backend's
+  /// mutation epoch — entries cached before an Add / Delete are keyed under
+  /// the old epoch and can never be served again (they age out through the
+  /// LRU).
+  std::string CacheKey(const float* query, int64_t k) const;
 
   /// Cache lookup; on hit moves the entry to the LRU front and fills
   /// `result`. Counts the hit/miss.
@@ -230,13 +202,11 @@ class RetrievalService {
 
   /// Scores `queries` [M, D] (all cache misses) through the hosted backend
   /// and ranks top-k per row, with scores. Serialised on exec_mu_; records
-  /// score/rank stage latencies, feeds the degradation controller, and
-  /// honours `deadline` (kDeadlineExceeded once it has passed — checked
-  /// after the executor mutex is acquired, so a request that waited out
-  /// its budget in line fails fast). `probes` pins the dial value the
-  /// caller keyed its cache entries by.
+  /// score/rank stage latencies and honours `deadline` (kDeadlineExceeded
+  /// once it has passed — checked after the executor mutex is acquired, so
+  /// a request that waited out its budget in line fails fast).
   StatusOr<std::vector<std::vector<ScoredHit>>> ScoreMicroBatch(
-      const Tensor& queries, int64_t k, int64_t probes, TimePoint deadline);
+      const Tensor& queries, int64_t k, TimePoint deadline);
 
   /// The one request loop behind every query API: admission -> deadline
   /// -> micro-batch -> ScoreMicroBatch. With `ids` set (QueryBatchWith-
@@ -256,14 +226,11 @@ class RetrievalService {
   std::unique_ptr<ScoringBackend> backend_;  // Registry-created.
 
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<DegradationController> degradation_;  // Probed backends.
 
   /// Serialises entry into the kernel pool (backend scoring).
   std::mutex exec_mu_;
 
-  /// Guards cache_*, stats_ and the degradation controller. The backend's
-  /// probe dial self-synchronises; lock order is mu_ -> backend, never the
-  /// reverse.
+  /// Guards cache_* and stats_.
   mutable std::mutex mu_;
   std::list<std::pair<std::string, std::vector<int64_t>>> cache_lru_;
   std::unordered_map<std::string,
@@ -272,10 +239,6 @@ class RetrievalService {
       cache_map_;
   int64_t cache_bytes_ = 0;
   ServeStats stats_;
-  /// Controller dial counts at the last ResetStats, so Snapshot can report
-  /// "since reset" without rewinding the controller itself.
-  int64_t dial_downs_base_ = 0;
-  int64_t dial_ups_base_ = 0;
 };
 
 }  // namespace adamine::serve

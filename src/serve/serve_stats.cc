@@ -1,6 +1,7 @@
 #include "serve/serve_stats.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace adamine::serve {
@@ -11,31 +12,35 @@ const char* HealthStateName(HealthState state) {
       return "healthy";
     case HealthState::kDegraded:
       return "degraded";
-    case HealthState::kUnhealthy:
-      return "unhealthy";
   }
   return "unknown";
 }
 
 namespace {
 
-/// Bucket b holds observations in [2^(b-1), 2^b) microseconds (bucket 0:
-/// anything below 1us; the last bucket also absorbs overflow).
+constexpr int kOverflow = StageStats::kBuckets - 1;
+
+/// Bucket 0 holds anything below 1 us; bucket 1 + e * kSubBuckets + j holds
+/// [2^e * (1 + j / 8), 2^e * (1 + (j + 1) / 8)) us; the last bucket holds
+/// everything from 2^kOctaves us up. frexp splits the value exactly, so an
+/// observation never lands above its bucket's upper bound.
 int BucketOf(double ms) {
   const double us = ms * 1000.0;
-  int b = 0;
-  double bound = 1.0;
-  while (b < StageStats::kBuckets - 1 && us >= bound) {
-    bound *= 2.0;
-    ++b;
-  }
-  return b;
+  if (!(us >= 1.0)) return 0;
+  if (us >= std::ldexp(1.0, StageStats::kOctaves)) return kOverflow;
+  int exp = 0;
+  const double mantissa = 2.0 * std::frexp(us, &exp);  // In [1, 2).
+  const int sub = static_cast<int>((mantissa - 1.0) * StageStats::kSubBuckets);
+  return 1 + (exp - 1) * StageStats::kSubBuckets + sub;
 }
 
+/// Upper bound of bucket b < kOverflow, in ms.
 double BucketUpperMs(int b) {
-  double bound = 1.0;  // Upper bound of bucket 0, in microseconds.
-  for (int i = 0; i < b; ++i) bound *= 2.0;
-  return bound / 1000.0;
+  if (b == 0) return 1e-3;
+  const int octave = (b - 1) / StageStats::kSubBuckets;
+  const int sub = (b - 1) % StageStats::kSubBuckets;
+  return std::ldexp(1.0 + (sub + 1.0) / StageStats::kSubBuckets, octave) /
+         1000.0;
 }
 
 }  // namespace
@@ -53,10 +58,9 @@ double StageStats::PercentileMs(double p) const {
   // Smallest bucket whose cumulative count covers the percentile.
   const double target = p / 100.0 * static_cast<double>(count);
   int64_t cumulative = 0;
-  // The bucket's upper bound can lie above every observation (a stage whose
-  // samples all sit in [4.1, 5.2] ms would report 8.192 ms), and the last
+  // The bucket's upper bound can lie above every observation, and the last
   // bucket absorbs overflow, so the answer is clamped to the observed max.
-  for (int b = 0; b < kBuckets - 1; ++b) {
+  for (int b = 0; b < kOverflow; ++b) {
     cumulative += buckets[static_cast<size_t>(b)];
     if (static_cast<double>(cumulative) >= target && cumulative > 0) {
       return std::min(BucketUpperMs(b), max_ms);
@@ -98,14 +102,11 @@ std::string ServeStats::ToString() const {
                 static_cast<long long>(cache_misses));
   out += line;
   std::snprintf(line, sizeof(line),
-                "health %s  probes %lld  shed %lld  queue-timeouts %lld  "
-                "deadline-misses %lld  dial %lld down / %lld up\n",
-                HealthStateName(health), static_cast<long long>(probes),
-                static_cast<long long>(shed),
+                "health %s  shed %lld  queue-timeouts %lld  "
+                "deadline-misses %lld\n",
+                HealthStateName(health), static_cast<long long>(shed),
                 static_cast<long long>(queue_timeouts),
-                static_cast<long long>(deadline_misses),
-                static_cast<long long>(probe_dial_downs),
-                static_cast<long long>(probe_dial_ups));
+                static_cast<long long>(deadline_misses));
   out += line;
   // Immutable backends keep the classic three-line header; the mutation
   // line only appears once there is a mutable backend behind the service
@@ -146,7 +147,13 @@ std::string ServeStats::ToString() const {
   };
   stage("embed", embed);
   stage("score", score);
-  stage("rank", rank);
+  // A backend that fuses ranking into scoring records score batches but
+  // never a rank stage; say so rather than print an all-zero row.
+  if (rank.count == 0 && score.count > 0) {
+    out += "rank   fused\n";
+  } else {
+    stage("rank", rank);
+  }
   return out;
 }
 

@@ -7,25 +7,26 @@
 
 namespace adamine::serve {
 
-/// Coarse service health, driven by the degradation controller (see
-/// DESIGN.md, "Overload behavior"): kHealthy while serving at full
-/// accuracy within the latency target, kDegraded while accuracy has been
-/// dialled down to protect latency, kUnhealthy when the dial is at its
-/// floor and the latency target is still being missed.
+/// Coarse service health: kHealthy while the whole corpus is served and
+/// writable, kDegraded while the mutable backend has quarantined a segment
+/// or latched read-only (see DESIGN.md, "Resource pressure and
+/// scrubbing").
 enum class HealthState {
   kHealthy,
   kDegraded,
-  kUnhealthy,
 };
 
 const char* HealthStateName(HealthState state);
 
 /// Per-stage latency accounting: count / total / max plus a fixed
-/// power-of-two-microsecond histogram ([<1us, <2us, ..., <~2s, overflow])
-/// cheap enough to update on every batch and rich enough for p50/p95
-/// estimates in a stats snapshot.
+/// log-linear microsecond histogram — below 1 us, then kSubBuckets equal
+/// slices of every octave [2^e, 2^(e+1)) us up to 2^kOctaves us (~16.8 s),
+/// then overflow — cheap enough to update on every batch and fine enough
+/// for p50/p95 estimates within 12.5% in a stats snapshot.
 struct StageStats {
-  static constexpr int kBuckets = 22;
+  static constexpr int kOctaves = 24;
+  static constexpr int kSubBuckets = 8;
+  static constexpr int kBuckets = 1 + kOctaves * kSubBuckets + 1;
 
   int64_t count = 0;
   double total_ms = 0.0;
@@ -38,8 +39,8 @@ struct StageStats {
 
   /// Upper bound (in ms) of the histogram bucket containing the p-th
   /// nearest-rank observation, clamped to max_ms, p in [0, 100]: never
-  /// below that observation and, above 1 us, at most twice it. 0 when
-  /// nothing was recorded.
+  /// below that observation and, above 1 us, at most 1.125 times it. 0
+  /// when nothing was recorded.
   double PercentileMs(double p) const;
 };
 
@@ -84,10 +85,9 @@ struct MutationPressure {
 /// One consistent snapshot of a RetrievalService's counters: stage
 /// latencies for query embedding (recorded by the caller running the model
 /// forward), similarity scoring, and top-k ranking, plus query/batch/cache
-/// counters. For the IVF backend the score stage covers the whole batched
-/// search (centroid scan, candidate scoring and per-query ranking are one
-/// fused pass); the rank stage is populated by the exhaustive backend's
-/// top-k selection.
+/// counters. Backends that fuse ranking into scoring (TopKResult::rank_ms
+/// < 0) record only the score stage; ToString prints their rank stage as
+/// "fused".
 struct ServeStats {
   int64_t queries = 0;       // Query rows served (cache hits included).
   int64_t batches = 0;       // Scoring micro-batches dispatched.
@@ -96,16 +96,13 @@ struct ServeStats {
   int64_t cache_bytes = 0;      // Current resident cache footprint.
   int64_t cache_evictions = 0;  // Entries dropped by either capacity limit.
 
-  // Overload counters (see AdmissionStats and the degradation controller).
+  // Overload counters (see AdmissionStats).
   int64_t admitted = 0;         // Requests granted a scoring slot.
   int64_t shed = 0;             // Rejected fast with kUnavailable.
   int64_t queue_timeouts = 0;   // Deadline expired while queued.
   int64_t deadline_misses = 0;  // Deadline expired during scoring.
   int64_t inflight_peak = 0;
   int64_t queue_peak = 0;
-  int64_t probe_dial_downs = 0;  // Degradation steps taken / undone.
-  int64_t probe_dial_ups = 0;
-  int64_t probes = 0;  // Current probe dial (0 on the exhaustive backend).
   HealthState health = HealthState::kHealthy;
 
   /// Mutable-backend ingest pressure; all zero on immutable backends.

@@ -44,9 +44,8 @@ Status ShardedServeConfig::Validate() const {
   if (shard.backend != Backend::kExhaustive &&
       shard.backend != Backend::kScalar) {
     return Status::InvalidArgument(
-        "sharded serving requires an exact shard backend (scalar or "
-        "exhaustive) — the merge re-ranks per-hit scores globally, and an "
-        "approximate shard would silently change the answer");
+        "sharded serving requires a scalar or exhaustive shard backend "
+        "(quantized and mutable shards are not supported)");
   }
   ADAMINE_RETURN_IF_ERROR(shard.Validate());
   return ClientConfigOf(*this).Validate();

@@ -20,10 +20,9 @@ struct ShardedServeConfig {
   /// Replicas per shard. Replicas serve identical rows; the shard client
   /// fails over between them.
   int64_t num_replicas = 1;
-  /// Config applied to every replica service. Must use an exact backend
-  /// (scalar or exhaustive — the merge re-ranks per-hit scores globally)
-  /// and is served cache-less per replica — the sharded layer has no cache
-  /// of its own.
+  /// Config applied to every replica service. Must use the scalar or
+  /// exhaustive backend, and is served cache-less per replica — the
+  /// sharded layer has no cache of its own.
   ServeConfig shard;
   /// Per-attempt timeout, hedging, retry and breaker knobs, applied to every
   /// shard client (see ShardClientConfig for the semantics of each).

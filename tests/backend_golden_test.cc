@@ -4,11 +4,9 @@
 // instantiates, like this file's loopback-RPC "remote" topology — is
 // auto-compared against the "scalar" reference across corpus shapes
 // (clustered, duplicated-row ties, all-identical rows, single row) × k
-// (1, mid, k > corpus) × kernel thread counts × shard counts × probe
-// settings. Exact backends must match the reference bit for bit; probed
-// approximate settings must stay deterministic, well-ordered and carry
-// reference-bitwise scores. Failures report the first divergent
-// (query, rank, id, score) tuple, in the spirit of ggml's
+// (1, mid, k > corpus) × kernel thread counts × shard counts. Every
+// backend must match the reference bit for bit. Failures report the first
+// divergent (query, rank, id, score) tuple, in the spirit of ggml's
 // test-backend-ops. Registering a backend is all it takes to be covered:
 // no per-backend test code exists here.
 
@@ -20,9 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -186,7 +182,7 @@ StatusOr<std::unique_ptr<serve::ScoringBackend>> MakeRemoteBackend(
 const bool kRemoteRegistered = [] {
   const Status registered = serve::RegisterBackend(
       "remote", MakeRemoteBackend,
-      serve::BackendTraits{/*has_probes=*/false, /*sharded=*/true});
+      serve::BackendTraits{/*sharded=*/true});
   ADAMINE_CHECK_MSG(registered.ok(), registered.ToString());
   return true;
 }();
@@ -223,9 +219,6 @@ const std::vector<Corpus>& GoldenCorpora() {
 serve::BackendConfig ConfigFor(const Corpus& corpus, int64_t shards) {
   serve::BackendConfig config;
   config.items = corpus.items;
-  config.ivf.num_lists = std::min<int64_t>(4, corpus.items.rows());
-  config.ivf.num_probes = config.ivf.num_lists;
-  config.ivf.seed = 9;
   config.num_shards = shards;
   return config;
 }
@@ -292,72 +285,6 @@ std::vector<std::vector<serve::ScoredHit>> ScalarReference(
   return ::testing::AssertionSuccess();
 }
 
-/// The contract for approximate settings: deterministic well-formed
-/// answers whose every (id, score) pair is reference-bitwise — ordered by
-/// (score desc, global id asc), no duplicate ids, ids in range, at most
-/// min(k, corpus) hits, each score exactly the scalar oracle's score for
-/// that (query, id).
-::testing::AssertionResult WellFormedTopK(
-    const std::vector<std::vector<serve::ScoredHit>>& full_ranking,
-    const std::vector<std::vector<serve::ScoredHit>>& got, int64_t k,
-    int64_t corpus_rows) {
-  if (full_ranking.size() != got.size()) {
-    return ::testing::AssertionFailure()
-           << "query-row count diverges: reference " << full_ranking.size()
-           << ", backend " << got.size();
-  }
-  for (size_t q = 0; q < got.size(); ++q) {
-    std::unordered_map<int64_t, float> oracle;
-    for (const serve::ScoredHit& hit : full_ranking[q]) {
-      oracle[hit.index] = hit.score;
-    }
-    const auto& hits = got[q];
-    if (static_cast<int64_t>(hits.size()) >
-        std::min<int64_t>(k, corpus_rows)) {
-      return ::testing::AssertionFailure()
-             << "query " << q << " returned " << hits.size()
-             << " hits, more than min(k, corpus) = "
-             << std::min<int64_t>(k, corpus_rows);
-    }
-    std::set<int64_t> seen;
-    for (size_t rank = 0; rank < hits.size(); ++rank) {
-      const serve::ScoredHit& hit = hits[rank];
-      if (hit.index < 0 || hit.index >= corpus_rows) {
-        return ::testing::AssertionFailure()
-               << "(query " << q << ", rank " << rank << "): id "
-               << hit.index << " out of range [0, " << corpus_rows << ")";
-      }
-      if (!seen.insert(hit.index).second) {
-        return ::testing::AssertionFailure()
-               << "(query " << q << ", rank " << rank << "): duplicate id "
-               << hit.index;
-      }
-      if (oracle.at(hit.index) != hit.score) {
-        return ::testing::AssertionFailure()
-               << "(query " << q << ", rank " << rank << ", id "
-               << hit.index << "): score " << std::hexfloat << hit.score
-               << " is not the reference score "
-               << oracle.at(hit.index) << std::defaultfloat;
-      }
-      if (rank > 0) {
-        const serve::ScoredHit& prev = hits[rank - 1];
-        const bool ordered =
-            prev.score > hit.score ||
-            (prev.score == hit.score && prev.index < hit.index);
-        if (!ordered) {
-          return ::testing::AssertionFailure()
-                 << "(query " << q << ", rank " << rank
-                 << "): order violates (score desc, id asc): prev (id "
-                 << prev.index << ", score " << std::hexfloat << prev.score
-                 << "), this (id " << hit.index << ", score " << hit.score
-                 << ")" << std::defaultfloat;
-        }
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
 class BackendGoldenTest : public ::testing::TestWithParam<std::string> {};
 
 // --- The golden matrix ---------------------------------------------------
@@ -369,7 +296,6 @@ TEST_P(BackendGoldenTest, MatchesScalarReferenceAcrossTheMatrix) {
 
   for (const Corpus& corpus : GoldenCorpora()) {
     const int64_t rows = corpus.items.rows();
-    const auto full_ranking = ScalarReference(corpus, rows);
     std::vector<int64_t> shard_counts =
         traits->sharded ? std::vector<int64_t>{1, 2, 3, 7}
                         : std::vector<int64_t>{1};
@@ -385,41 +311,15 @@ TEST_P(BackendGoldenTest, MatchesScalarReferenceAcrossTheMatrix) {
       auto backend = MustCreate(name, corpus, shards);
       ASSERT_EQ(backend->size(), rows);
       ASSERT_EQ(backend->dim(), corpus.items.cols());
-      const std::vector<int64_t> probe_settings =
-          traits->has_probes
-              ? std::vector<int64_t>{1, backend->max_probes()}
-              : std::vector<int64_t>{0};
-      for (const int64_t probes : probe_settings) {
-        if (probes > 0) {
-          ASSERT_TRUE(backend->SetProbes(probes).ok());
-        }
-        for (const int64_t k : {int64_t{1}, int64_t{3}, rows + 7}) {
-          const auto reference = ScalarReference(corpus, k);
-          std::vector<std::vector<serve::ScoredHit>> at_one_thread;
-          for (const int threads : {1, 2, 4}) {
-            ThreadGuard guard(threads);
-            const auto got = MustScore(*backend, corpus.queries, k);
-            const std::string where =
-                "backend=" + name + " corpus=" + corpus.name +
-                " shards=" + std::to_string(shards) +
-                " probes=" + std::to_string(probes) +
-                " k=" + std::to_string(k) +
-                " threads=" + std::to_string(threads);
-            if (backend->exact()) {
-              EXPECT_TRUE(SameTopK(reference, got)) << where;
-            } else {
-              EXPECT_TRUE(WellFormedTopK(full_ranking, got, k, rows))
-                  << where;
-            }
-            // Exact or not, the answer must not depend on the kernel
-            // thread count.
-            if (threads == 1) {
-              at_one_thread = got;
-            } else {
-              EXPECT_TRUE(SameTopK(at_one_thread, got))
-                  << where << " (diverges from the 1-thread answer)";
-            }
-          }
+      for (const int64_t k : {int64_t{1}, int64_t{3}, rows + 7}) {
+        const auto reference = ScalarReference(corpus, k);
+        for (const int threads : {1, 2, 4}) {
+          ThreadGuard guard(threads);
+          const auto got = MustScore(*backend, corpus.queries, k);
+          EXPECT_TRUE(SameTopK(reference, got))
+              << "backend=" << name << " corpus=" << corpus.name
+              << " shards=" << shards << " k=" << k
+              << " threads=" << threads;
         }
       }
     }
@@ -469,32 +369,6 @@ TEST_P(BackendGoldenTest, FilterIsRejectedAsUnimplemented) {
       << result.status().ToString();
 }
 
-TEST_P(BackendGoldenTest, ProbeDialStatusMatchesTraits) {
-  const std::string name = GetParam();
-  auto traits = serve::TraitsOfBackend(name);
-  ASSERT_TRUE(traits.ok());
-  auto backend = MustCreate(name, GoldenCorpora()[0]);
-  EXPECT_EQ(backend->has_probes(), traits->has_probes);
-  if (!traits->has_probes) {
-    // Satellite pin: dial-less backends answer SetProbes with a
-    // descriptive kFailedPrecondition naming the backend, not silence.
-    const Status rejected = backend->SetProbes(2);
-    ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(rejected.message().find(name), std::string::npos)
-        << rejected.ToString();
-    EXPECT_EQ(backend->probes(), 0);
-    EXPECT_EQ(backend->max_probes(), 0);
-    EXPECT_TRUE(backend->exact());
-  } else {
-    EXPECT_FALSE(backend->SetProbes(0).ok());
-    EXPECT_FALSE(backend->SetProbes(backend->max_probes() + 1).ok());
-    ASSERT_TRUE(backend->SetProbes(backend->max_probes()).ok());
-    EXPECT_EQ(backend->probes(), backend->max_probes());
-    EXPECT_TRUE(backend->exact());  // Every list probed == exact.
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllRegistered, BackendGoldenTest,
     ::testing::ValuesIn(serve::RegisteredBackendNames()),
@@ -518,6 +392,28 @@ TEST(BackendRegistryTest, UnknownNameListsEveryRegisteredBackend) {
   EXPECT_FALSE(canonical.ok());
 }
 
+TEST(BackendRegistryTest, BuiltInsAreExactlyTheExactBackends) {
+  // Every built-in answers bit-identically to "scalar", and a config that
+  // still names the deleted approximate backend fails descriptively.
+  // "remote" is this file's test topology, registered above.
+  const std::vector<std::string> built_ins = {
+      "exhaustive", "mutable", "quantized", "scalar", "sharded"};
+  std::vector<std::string> registered;
+  for (const std::string& name : serve::RegisteredBackendNames()) {
+    if (name != "remote") registered.push_back(name);
+  }
+  EXPECT_EQ(registered, built_ins);
+  auto retired =
+      serve::CreateBackend("ivf", ConfigFor(GoldenCorpora()[0], 1));
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  for (const std::string& name : built_ins) {
+    EXPECT_NE(retired.status().message().find(name), std::string::npos)
+        << "miss message does not list '" << name
+        << "': " << retired.status().ToString();
+  }
+}
+
 TEST(BackendRegistryTest, DuplicateRegistrationIsRejected) {
   const Status duplicate = serve::RegisterBackend(
       "scalar",
@@ -534,8 +430,7 @@ TEST(BackendRegistryTest, EnumRoundTripsThroughTheRegistry) {
   // maps to a registered name and back.
   for (const serve::Backend backend :
        {serve::Backend::kScalar, serve::Backend::kExhaustive,
-        serve::Backend::kIvf, serve::Backend::kQuantized,
-        serve::Backend::kMutable}) {
+        serve::Backend::kQuantized, serve::Backend::kMutable}) {
     const std::string name = serve::BackendName(backend);
     ASSERT_TRUE(serve::CanonicalBackendName(name).ok()) << name;
     auto round = serve::BackendFromName(name);

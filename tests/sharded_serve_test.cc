@@ -243,7 +243,7 @@ TEST(ShardedServeConfigTest, Validation) {
   bad = ShardedConfig(1, 0);
   EXPECT_FALSE(bad.Validate().ok());
   bad = ShardedConfig(2, 1);
-  bad.shard.backend = serve::Backend::kIvf;  // Merge needs scores.
+  bad.shard.backend = serve::Backend::kQuantized;  // Unsupported shard.
   EXPECT_FALSE(bad.Validate().ok());
   bad = ShardedConfig(2, 1);
   bad.shard_timeout_ms = -1.0;
@@ -271,7 +271,7 @@ TEST(ShardedServeConfigTest, CreateRejectsMoreShardsThanRows) {
 // into the registry-driven golden suite: the "sharded" backend in
 // tests/backend_golden_test.cc (ctest label `golden`) runs every registered
 // backend — this topology included — against the scalar reference over the
-// corpus × k × threads × shards × probes matrix. This file keeps what the
+// corpus × k × threads × shards matrix. This file keeps what the
 // golden harness cannot see: the failover machinery (breakers, retries,
 // hedging, partial coverage) and the concurrent sharded suites below.
 
